@@ -14,9 +14,7 @@ from .characters import (
     VerificationResult,
     build_certificate,
     certify,
-    max_prime,
     prime_component,
-    rank_value,
     verify_certificate,
     witness_for_prime,
 )
@@ -40,7 +38,6 @@ from .pretzel import (
     alexander_of_witness,
     hfk_bigraded,
     hfk_top_rank,
-    is_homologically_fibered,
     stabilize,
     witness,
 )
@@ -48,6 +45,7 @@ from .seifert import (
     SeifertMatrix,
     alexander_from_seifert,
     determinant_poly,
+    fiberedness,
     is_homology_product,
     pretzel_seifert_matrix,
 )
@@ -78,16 +76,14 @@ __all__ = [
     "certify",
     "determinant_poly",
     "factorize",
+    "fiberedness",
     "hfk_bigraded",
     "hfk_top_rank",
-    "is_homologically_fibered",
     "is_homology_product",
     "is_prime",
-    "max_prime",
     "prime_component",
     "primes_one_mod_four",
     "pretzel_seifert_matrix",
-    "rank_value",
     "sqrt_minus_one",
     "stabilize",
     "verify_certificate",

@@ -85,19 +85,12 @@ def cmd_alexander(args) -> int:
 
 def cmd_fibered(args) -> int:
     poly, genus = _resolve_polynomial(args)
-    span = poly.degree_span()
-    at_zero = poly.eval_at(0)
-    failing: list[str] = []
-    if span != 2 * genus:
-        failing.append(f"degree {span} != {2 * genus}")
-    if abs(at_zero) != 1:
-        failing.append(f"Delta(0) = {at_zero}")
-    fibered = not failing
+    fibered, failing = seifert.fiberedness(poly, genus)
     result = {
         "fibered": fibered,
         "genus": genus,
-        "degree_span": span,
-        "at_zero": at_zero,
+        "degree_span": poly.degree_span(),
+        "at_zero": poly.eval_at(0),
         "failing": failing,
         "alexander": poly.to_json(),
     }
@@ -108,9 +101,9 @@ def cmd_fibered(args) -> int:
 
 def cmd_witness(args) -> int:
     p = args.prime
-    m = numtheory.sqrt_minus_one(p)
-    n = numtheory.witness_index(p)
-    cw = characters.certify(pretzel.witness(n))
+    cw = characters.witness_for_prime(p)
+    n = cw.witness.index
+    m = (2 * n - 1) % p  # the pinned square root of -1 that gave n
     result = {
         "prime": p,
         "m": m,
@@ -170,7 +163,7 @@ def cmd_rank(args) -> int:
     result = {
         "index": args.index,
         "stab": args.stab,
-        "rank": characters.rank_value(w),
+        "rank": pretzel.hfk_top_rank(w),
         "genus": w.genus,
         "alexander": poly.to_json(),
         "pretty": str(poly),

@@ -1,8 +1,8 @@
 """The odd pretzel knot family and its genus-1 witness sequence.
 
-Covers the closed-form Alexander polynomial, the homologically-fibered
-test, the witness knots indexed by n with top knot-Floer rank
-2n^2 - 2n + 1, and stabilization by trefoil connected sums.
+Covers the closed-form Alexander polynomial, the witness knots indexed
+by n with top knot-Floer rank 2n^2 - 2n + 1, and stabilization by
+trefoil connected sums.
 """
 
 from __future__ import annotations
@@ -44,25 +44,11 @@ class PretzelKnot:
         return cls((a - 1) // 2, (b - 1) // 2, (c - 1) // 2)
 
 
-def _closed_form_coefficient(knot: PretzelKnot) -> int:
-    l, m, n = knot.l, knot.m, knot.n
-    return 1 + l + m + n + l * m + m * n + n * l
-
-
 def alexander_closed_form(knot: PretzelKnot) -> LaurentPoly:
     """Normalized Alexander polynomial c*(t-1)^2 + t with c = 1+l+m+n+lm+mn+nl."""
-    c = _closed_form_coefficient(knot)
-    t = LaurentPoly.term(1, 1)
-    return ((t - 1) ** 2 * c + t).normalize()
-
-
-def is_homologically_fibered(knot: PretzelKnot) -> bool:
-    """True iff the Alexander polynomial has degree 2*genus and unit constant term.
-
-    For the genus-1 standard surface both conditions collapse to
-    |1 + l + m + n + lm + mn + nl| = 1.
-    """
-    return abs(_closed_form_coefficient(knot)) == 1
+    l, m, n = knot.l, knot.m, knot.n
+    c = 1 + l + m + n + l * m + m * n + n * l
+    return LaurentPoly(0, (c, 1 - 2 * c, c)).normalize()
 
 
 @dataclass(frozen=True)

@@ -55,7 +55,7 @@ class SeifertMatrix:
             entries = data["entries"]
         except (KeyError, TypeError) as exc:
             raise ValueError("Seifert matrix JSON needs 'size' and 'entries'") from exc
-        if not isinstance(entries, list):
+        if not isinstance(entries, list) or not all(isinstance(row, list) for row in entries):
             raise ValueError("'entries' must be a list of rows")
         matrix = cls.from_rows(entries)
         if size != matrix.size:
@@ -227,10 +227,27 @@ def alexander_from_seifert(V: SeifertMatrix) -> LaurentPoly:
     return determinant_poly(vmt).normalize()
 
 
+def fiberedness(poly: LaurentPoly, genus: int) -> tuple[bool, list[str]]:
+    """Homological fiberedness of a genus-g surface from its Alexander polynomial.
+
+    The surface is homologically fibered iff the polynomial has degree
+    span 2g and |Delta(0)| = 1.  Returns the verdict and the reasons it
+    fails, empty when it holds.
+    """
+    span = poly.degree_span()
+    at_zero = poly.eval_at(0)
+    failing: list[str] = []
+    if span != 2 * genus:
+        failing.append(f"degree {span} != {2 * genus}")
+    if abs(at_zero) != 1:
+        failing.append(f"Delta(0) = {at_zero}")
+    return not failing, failing
+
+
 def is_homology_product(V: SeifertMatrix) -> bool:
     """True when the complementary sutured manifold of the surface is a homology product.
 
-    Equivalent tests: det(V) = +-1, or the Alexander polynomial computed
-    from V has degree span 2g and unit value at 0.
+    Equivalent to det(V) = +-1, and to ``fiberedness`` of the Alexander
+    polynomial computed from V at genus g.
     """
     return det_int(V.entries) in (1, -1)

@@ -8,9 +8,7 @@ from knotrank.characters import (
     SearchExhausted,
     build_certificate,
     certify,
-    max_prime,
     prime_component,
-    rank_value,
     verify_certificate,
     witness_for_prime,
 )
@@ -21,14 +19,22 @@ from knotrank.numtheory import (
     factorize,
     primes_one_mod_four,
 )
-from knotrank.pretzel import WitnessKnot, stabilize, witness
+from knotrank.pretzel import WitnessKnot, hfk_top_rank, stabilize, witness
 from oracles import fraction_rank
 
 
+def verified_certificate(count, search_limit):
+    # build_certificate does not verify its own output
+    cert = build_certificate(count, search_limit)
+    assert verify_certificate(cert)
+    return cert
+
+
 def test_rank_value_examples():
-    assert rank_value(witness(1)) == 1
-    assert rank_value(witness(4)) == 25
-    assert rank_value(stabilize(witness(4), 3)) == 25
+    # the rank a certified witness carries is the top HFK rank, stabilized or not
+    assert certify(witness(1)).rank == 1
+    assert certify(witness(4)).rank == 25
+    assert certify(stabilize(witness(4), 3)).rank == 25
 
 
 def test_prime_component_examples():
@@ -43,15 +49,15 @@ def test_prime_component_rejects_composite_modulus():
 
 
 def test_max_prime_examples():
-    assert max_prime(witness(1)) == 1  # rank 1: the "or 1" clause
-    assert max_prime(witness(7)) == 17  # rank 85 = 5 * 17
-    assert max_prime(witness(2)) == 5
+    assert certify(witness(1)).max_prime == 1  # rank 1: the "or 1" clause
+    assert certify(witness(7)).max_prime == 17  # rank 85 = 5 * 17
+    assert certify(witness(2)).max_prime == 5
 
 
 def test_certify_invariants():
     for n in (1, 2, 7, 11, 20):
         cw = certify(witness(n))
-        assert cw.rank == rank_value(cw.witness)
+        assert cw.rank == hfk_top_rank(cw.witness)
         product = 1
         for p, e in cw.factorization:
             product *= p**e
@@ -76,7 +82,7 @@ def test_build_certificate_two_rows():
 def test_build_certificate_three_rows_follows_greedy_rule():
     # ranks scanned: 1, 5, 13, 25, 41; 25 has max prime 5 and is skipped,
     # 41 is prime and kept, so the third selected prime is 41
-    cert = build_certificate(3, 100)
+    cert = verified_certificate(3, 100)
     assert [cw.witness.index for cw in cert.witnesses] == [2, 3, 5]
     assert cert.selected_primes == (5, 13, 41)
 
@@ -116,7 +122,7 @@ def test_certificate_matrix_is_triangular_with_positive_diagonal():
 
 
 def test_verify_rejects_zeroed_diagonal():
-    cert = build_certificate(4, 1_000)
+    cert = verified_certificate(4, 1_000)
     matrix = [list(row) for row in cert.evaluation]
     matrix[0][0] = 0
     tampered = IndependenceCertificate(
@@ -128,7 +134,7 @@ def test_verify_rejects_zeroed_diagonal():
 
 
 def test_verify_rejects_reordered_primes():
-    cert = build_certificate(4, 1_000)
+    cert = verified_certificate(4, 1_000)
     primes = list(cert.selected_primes)
     primes.reverse()
     tampered = IndependenceCertificate(cert.witnesses, tuple(primes), cert.evaluation)
@@ -138,7 +144,7 @@ def test_verify_rejects_reordered_primes():
 
 
 def test_verify_rejects_corrupt_factorization():
-    cert = build_certificate(4, 1_000)
+    cert = verified_certificate(4, 1_000)
     cw = cert.witnesses[1]
     factors = list(cw.factorization)
     p, e = factors[0]
@@ -150,7 +156,7 @@ def test_verify_rejects_corrupt_factorization():
 
 
 def test_verify_rejects_wrong_rank():
-    cert = build_certificate(2, 100)
+    cert = verified_certificate(2, 100)
     cw = cert.witnesses[0]
     witnesses = (
         CertifiedWitness(cw.witness, cw.rank + 1, cw.factorization, cw.max_prime),
@@ -162,13 +168,13 @@ def test_verify_rejects_wrong_rank():
 
 
 def test_verify_rejects_composite_selected_prime():
-    cert = build_certificate(2, 100)
+    cert = verified_certificate(2, 100)
     tampered = IndependenceCertificate(cert.witnesses, (5, 15), cert.evaluation)
     assert not verify_certificate(tampered)
 
 
 def test_verify_rejects_shape_mismatch_and_empty():
-    cert = build_certificate(2, 100)
+    cert = verified_certificate(2, 100)
     assert not verify_certificate(
         IndependenceCertificate(cert.witnesses, cert.selected_primes[:1], cert.evaluation)
     )
@@ -176,7 +182,7 @@ def test_verify_rejects_shape_mismatch_and_empty():
 
 
 def test_verify_rejects_recomputed_entry_mismatch():
-    cert = build_certificate(3, 1_000)
+    cert = verified_certificate(3, 1_000)
     matrix = [list(row) for row in cert.evaluation]
     matrix[0][2] += 1  # above the diagonal, so triangularity alone cannot catch it
     tampered = IndependenceCertificate(
@@ -223,7 +229,7 @@ def test_prime_components_add_on_formal_products():
     for _ in range(60):
         a = witness(rng.randrange(2, 40))
         b = witness(rng.randrange(2, 40))
-        product = rank_value(a) * rank_value(b)
+        product = hfk_top_rank(a) * hfk_top_rank(b)
         for p, e in factorize(product):
             assert prime_component(a, p) + prime_component(b, p) == e
 

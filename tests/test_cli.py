@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from knotrank import cli
+from knotrank import characters, cli
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -76,6 +76,13 @@ def test_alexander_rejects_non_square_matrix(capsys, tmp_path):
     path = write_matrix(tmp_path, [[1, 1, 0], [0, 1, 0]], size=2)
     code, _, err = run_cli(capsys, "alexander", "--seifert", path)
     assert code == 2
+
+
+@pytest.mark.parametrize("entries", [[1, 2], [[1, 2], None]])
+def test_alexander_rejects_rows_that_are_not_lists(capsys, tmp_path, entries):
+    code, _, err = run_cli(capsys, "alexander", "--seifert", write_matrix(tmp_path, entries))
+    assert code == 2
+    assert err == "error: 'entries' must be a list of rows\n"
 
 
 def test_alexander_rejects_missing_file(capsys, tmp_path):
@@ -215,6 +222,17 @@ def test_certificate_text_output_ends_with_verified(capsys):
     lines = out.strip().split("\n")
     assert lines[0] == "prime,witness_2,witness_3"
     assert lines[-1] == "verified: true"
+
+
+def test_certificate_failing_verification_exits_one(capsys, monkeypatch):
+    # the command's own verify_certificate call is the only check on its output
+    real = characters.build_certificate(2, 10)
+    tampered = characters.IndependenceCertificate(real.witnesses, (5, 15), real.evaluation)
+    monkeypatch.setattr(characters, "build_certificate", lambda count, limit: tampered)
+    code, envelope, err = run_json(capsys, "certificate", "--count", "2")
+    assert code == 1
+    assert envelope["result"]["verified"] is False
+    assert err == "error: selected value 15 at position 1 is not prime\n"
 
 
 def test_rank_index_two(capsys):

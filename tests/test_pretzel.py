@@ -11,10 +11,10 @@ from knotrank.pretzel import (
     alexander_of_witness,
     hfk_bigraded,
     hfk_top_rank,
-    is_homologically_fibered,
     stabilize,
     witness,
 )
+from knotrank.seifert import fiberedness
 from oracles import d_mul, poly_to_dict
 
 ONE_MINUS_T_PLUS_T2 = LaurentPoly(0, (1, -1, 1))
@@ -52,19 +52,20 @@ def test_closed_form_general_coefficient():
 
 
 def test_is_homologically_fibered():
-    assert is_homologically_fibered(PretzelKnot(-1, 1, 1))
-    assert not is_homologically_fibered(PretzelKnot(0, 0, -1))
-    assert not is_homologically_fibered(PretzelKnot(1, 1, 1))
+    assert fiberedness(alexander_closed_form(PretzelKnot(-1, 1, 1)), 1) == (True, [])
+    assert not fiberedness(alexander_closed_form(PretzelKnot(0, 0, -1)), 1)[0]
+    assert not fiberedness(alexander_closed_form(PretzelKnot(1, 1, 1)), 1)[0]
 
 
 def test_fibered_agrees_with_polynomial_conditions():
+    # on the genus-1 standard surface both conditions collapse to |c| = 1,
+    # c = 1 + l + m + n + lm + mn + nl
     for l in range(-6, 7):
         for m in range(-6, 7):
             for n in range(-6, 7):
-                knot = PretzelKnot(l, m, n)
-                poly = alexander_closed_form(knot)
-                via_poly = poly.degree_span() == 2 and abs(poly.eval_at(0)) == 1
-                assert is_homologically_fibered(knot) == via_poly
+                c = 1 + l + m + n + l * m + m * n + n * l
+                fibered, failing = fiberedness(alexander_closed_form(PretzelKnot(l, m, n)), 1)
+                assert fibered == (abs(c) == 1) == (not failing)
 
 
 @pytest.mark.parametrize(
@@ -90,7 +91,9 @@ def test_witness_closed_form_is_constant_over_the_family():
 def test_hfk_top_rank_values():
     assert hfk_top_rank(witness(1)) == 1
     assert hfk_top_rank(witness(2)) == 5
+    assert hfk_top_rank(witness(4)) == 25
     assert hfk_top_rank(WitnessKnot(3, 4)) == 13
+    assert hfk_top_rank(stabilize(witness(4), 3)) == 25
 
 
 def test_hfk_bigraded_values():

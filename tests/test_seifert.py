@@ -9,6 +9,7 @@ from knotrank.seifert import (
     alexander_from_seifert,
     det_int,
     determinant_poly,
+    fiberedness,
     is_homology_product,
     pretzel_seifert_matrix,
     rank_int,
@@ -203,6 +204,27 @@ def test_is_homology_product_examples():
     assert is_homology_product(TREFOIL)
     assert not is_homology_product(SeifertMatrix.from_rows([[0, 1], [0, 0]]))
     assert is_homology_product(pretzel_seifert_matrix(-1, 1, 1))
+
+
+@pytest.mark.parametrize(
+    "poly,genus,expected",
+    [
+        (LaurentPoly.one(), 1, (False, ["degree 0 != 2"])),
+        (LaurentPoly(0, (7, -13, 7)), 1, (False, ["Delta(0) = 7"])),
+        (LaurentPoly(0, (7, -13, 7)), 2, (False, ["degree 2 != 4", "Delta(0) = 7"])),
+        (ONE_MINUS_T_PLUS_T2, 1, (True, [])),
+        # genus 2: a (2, 1; 0, 1) block plus a trefoil block, so Delta(0) = det(V) = 2
+        (
+            alexander_from_seifert(
+                SeifertMatrix.from_rows([[2, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1], [0, 0, 0, 1]])
+            ),
+            2,
+            (False, ["Delta(0) = 2"]),
+        ),
+    ],
+)
+def test_fiberedness_reasons(poly, genus, expected):
+    assert fiberedness(poly, genus) == expected
 
 
 def test_homology_product_equals_polynomial_conditions_on_box():
