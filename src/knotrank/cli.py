@@ -61,6 +61,8 @@ def _load_seifert(path: str) -> SeifertMatrix:
         raise InputError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise InputError(f"{path} is nested too deeply to parse") from None
     try:
         return SeifertMatrix.from_json(data)
     except ValueError as exc:

@@ -77,15 +77,24 @@ def sqrt_minus_one(p: int) -> int:
 
     Deterministic construction: a^((p-1)/4) mod p for the smallest
     quadratic non-residue a.  The other root is p minus the result.
+    The search is bounded: it raises ``NotPrime`` when a base shows an
+    Euler criterion value other than +-1, when the bases run out, or
+    when the root does not square to -1, so a composite that passed
+    ``is_prime`` cannot make it loop forever.
     """
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if p % 4 != 1:
         raise NotOneModFour(f"{p} is congruent to {p % 4}, not 1, mod 4")
-    a = 2
-    while pow(a, (p - 1) // 2, p) != p - 1:
-        a += 1
-    return pow(a, (p - 1) // 4, p)
+    for a in range(2, p):
+        euler = pow(a, (p - 1) // 2, p)
+        if euler == 1:
+            continue
+        root = pow(a, (p - 1) // 4, p)
+        if euler == p - 1 and root * root % p == p - 1:
+            return root
+        break
+    raise NotPrime(f"{p} is not prime")
 
 
 def witness_index(p: int) -> int:

@@ -1,16 +1,15 @@
 """Seifert matrices and the Alexander polynomial determinant pipeline.
 
 The polynomial determinant is computed by sampling det(V - t*V^T) at
-integer points with fraction-free (Bareiss) elimination and recovering
-the coefficients by exact integer Lagrange interpolation; the degree
-bound 2g makes the interpolation exact without polynomial division.
+the integer points 0, 1, -1, 2, -2, ... with fraction-free (Bareiss)
+elimination and recovering the coefficients by Newton interpolation.
+The divided differences of an integer polynomial at integer points are
+integers, so the whole pipeline is exact integer arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from math import lcm
 from typing import Sequence
 
 from .laurent import LaurentPoly, NotUnitAtOne
@@ -63,121 +62,78 @@ class SeifertMatrix:
         return matrix
 
 
+def _eliminate(rows: Sequence[Sequence[int]]) -> tuple[int, int]:
+    """Fraction-free row echelon form: the rank and the signed last pivot.
+
+    Columns without a pivot are skipped; each row swap flips the sign.
+    For a square matrix of full rank the signed last pivot is the
+    determinant.
+    """
+    m = [list(row) for row in rows]
+    n_rows = len(m)
+    n_cols = len(m[0]) if m else 0
+    rank = 0
+    sign = 1
+    prev = 1
+    for c in range(n_cols):
+        pivot_row = rank
+        while pivot_row < n_rows and not m[pivot_row][c]:
+            pivot_row += 1
+        if pivot_row == n_rows:
+            continue
+        if pivot_row != rank:
+            m[rank], m[pivot_row] = m[pivot_row], m[rank]
+            sign = -sign
+        row_k = m[rank]
+        pivot = row_k[c]
+        for i in range(rank + 1, n_rows):
+            row_i = m[i]
+            factor = row_i[c]
+            for j in range(c + 1, n_cols):
+                row_i[j] = (pivot * row_i[j] - factor * row_k[j]) // prev
+        prev = pivot
+        rank += 1
+        if rank == n_rows:
+            break
+    return rank, sign * prev
+
+
 def det_int(rows: Sequence[Sequence[int]]) -> int:
     """Exact determinant of an integer matrix by Bareiss elimination."""
     n = len(rows)
     for row in rows:
         if len(row) != n:
             raise ValueError("matrix is not square")
-    if n == 0:
-        return 1
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
+    if n == 2:  # genus-1 matrices: skip the elimination's setup
         return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    m = [list(row) for row in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = m[k][k]
-        row_k = m[k]
-        for i in range(k + 1, n):
-            row_i = m[i]
-            factor = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = (pivot * row_i[j] - factor * row_k[j]) // prev
-        prev = pivot
-    return sign * m[-1][-1]
+    rank, pivot = _eliminate(rows)
+    return pivot if rank == n else 0
 
 
 def rank_int(rows: Sequence[Sequence[int]]) -> int:
     """Rank of an integer matrix over the rationals, by fraction-free elimination."""
-    if not rows:
-        return 0
-    n_cols = len(rows[0])
-    if any(len(row) != n_cols for row in rows):
+    if any(len(row) != len(rows[0]) for row in rows):
         raise ValueError("matrix rows have unequal lengths")
-    m = [list(row) for row in rows]
-    n_rows = len(m)
-    rank = 0
-    prev = 1
-    for c in range(n_cols):
-        pivot_row = next((i for i in range(rank, n_rows) if m[i][c]), None)
-        if pivot_row is None:
-            continue
-        m[rank], m[pivot_row] = m[pivot_row], m[rank]
-        pivot = m[rank][c]
-        for i in range(rank + 1, n_rows):
-            factor = m[i][c]
-            for j in range(c, n_cols):
-                m[i][j] = (pivot * m[i][j] - factor * m[rank][j]) // prev
-        prev = pivot
-        rank += 1
-        if rank == n_rows:
-            break
-    return rank
+    return _eliminate(rows)[0]
 
 
-def _sample_points(count: int) -> tuple[int, ...]:
-    # 0, 1, -1, 2, -2, ...; deterministic so the basis cache below hits
-    pts = [0]
-    k = 1
-    while len(pts) < count:
-        pts.append(k)
-        if len(pts) < count:
-            pts.append(-k)
-        k += 1
-    return tuple(pts[:count])
-
-
-@lru_cache(maxsize=128)
-def _lagrange_basis(points: tuple[int, ...]):
-    """Numerator polynomials plus integer weights clearing all denominators."""
-    nums: list[tuple[int, ...]] = []
-    dens: list[int] = []
-    for i, xi in enumerate(points):
-        num = [1]
-        den = 1
-        for j, xj in enumerate(points):
-            if j == i:
-                continue
-            nxt = [0] * (len(num) + 1)
-            for k, a in enumerate(num):
-                nxt[k + 1] += a
-                nxt[k] -= xj * a
-            num = nxt
-            den *= xi - xj
-        nums.append(tuple(num))
-        dens.append(den)
-    scale = lcm(*(abs(d) for d in dens)) if len(points) > 1 else 1
-    weights = tuple(scale // d for d in dens)
-    return tuple(nums), weights, scale
-
-
-def _interpolate_int(points: tuple[int, ...], values: Sequence[int]) -> list[int]:
-    nums, weights, scale = _lagrange_basis(points)
-    out = [0] * len(points)
-    for value, weight, num in zip(values, weights, nums):
-        if value == 0:
-            continue
-        f = value * weight
-        for k, a in enumerate(num):
-            if a:
-                out[k] += f * a
-    coeffs = []
-    for c in out:
-        q, r = divmod(c, scale)
-        if r:
-            raise ArithmeticError("interpolation did not clear to integer coefficients")
-        coeffs.append(q)
+def _interpolate_int(points: Sequence[int], values: Sequence[int]) -> list[int]:
+    """Coefficients, lowest first, of the integer polynomial through the points."""
+    n = len(points)
+    diffs = list(values)
+    for k in range(1, n):
+        for i in range(n - 1, k - 1, -1):
+            q, r = divmod(diffs[i] - diffs[i - 1], points[i] - points[i - k])
+            if r:
+                raise ArithmeticError("interpolation did not clear to integer coefficients")
+            diffs[i] = q
+    # Nested multiplication: p = d0 + (t - x0)(d1 + (t - x1)(d2 + ...)).
+    coeffs = [diffs[-1]]
+    for k in range(n - 2, -1, -1):
+        x = points[k]
+        coeffs = [diffs[k] - x * coeffs[0]] + [
+            a - x * b for a, b in zip(coeffs, coeffs[1:])
+        ] + [coeffs[-1]]
     return coeffs
 
 
@@ -201,7 +157,7 @@ def determinant_poly(matrix: Sequence[Sequence[LaurentPoly]]) -> LaurentPoly:
         shift += v
         rows.append([e.shift(-v) for e in row])
     bound = sum(max(e.highest for e in row if e) for row in rows)
-    points = _sample_points(bound + 1)
+    points = [(k + 1) // 2 if k % 2 else -(k // 2) for k in range(bound + 1)]
     values = [det_int([[e.eval_at(x) for e in row] for row in rows]) for x in points]
     return LaurentPoly(shift, _interpolate_int(points, values))
 

@@ -85,6 +85,14 @@ def test_alexander_rejects_rows_that_are_not_lists(capsys, tmp_path, entries):
     assert err == "error: 'entries' must be a list of rows\n"
 
 
+def test_alexander_rejects_deeply_nested_json(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000)
+    code, _, err = run_cli(capsys, "alexander", "--seifert", str(path))
+    assert code == 2
+    assert err.startswith("error:")
+
+
 def test_alexander_rejects_missing_file(capsys, tmp_path):
     code, _, err = run_cli(capsys, "alexander", "--seifert", str(tmp_path / "no.json"))
     assert code == 2

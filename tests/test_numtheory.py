@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from knotrank import numtheory
 from knotrank.numtheory import (
     NotOneModFour,
     NotPrime,
@@ -78,6 +79,14 @@ def test_sqrt_minus_one_rejects_composites():
         sqrt_minus_one(25)
     with pytest.raises(NotPrime):
         sqrt_minus_one(1)
+
+
+@pytest.mark.parametrize("n", [21, 25])
+def test_sqrt_minus_one_terminates_on_composite_past_is_prime(monkeypatch, n):
+    # a composite that slipped past is_prime must not loop forever
+    monkeypatch.setattr(numtheory, "is_prime", lambda x: True)
+    with pytest.raises(NotPrime):
+        sqrt_minus_one(n)
 
 
 def test_sqrt_minus_one_against_full_scan():

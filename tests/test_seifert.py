@@ -1,6 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy import ZZ, Poly, symbols
+from sympy.polys.matrices import DomainMatrix
 
 from knotrank.laurent import LaurentPoly, NotUnitAtOne
 from knotrank.pretzel import PretzelKnot, alexander_closed_form
@@ -90,6 +94,29 @@ def test_rank_int_matches_fraction_oracle():
             k = rng.randrange(n_rows - 1)
             rows[-1] = [2 * v for v in rows[k]]
         assert rank_int(rows) == fraction_rank(rows)
+
+
+def int_matrices(n_rows, n_cols):
+    row = st.lists(st.integers(-2, 2), min_size=n_cols, max_size=n_cols)
+    return st.lists(row, min_size=n_rows, max_size=n_rows)
+
+
+# Entries in [-2, 2] make singular matrices, zero columns and row swaps
+# common, so both callers of the shared elimination meet every branch.
+PROPERTY_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True)
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(0, 5).flatmap(lambda n: int_matrices(n, n)))
+def test_det_int_property_against_cofactor_oracle(rows):
+    expected = d_det([[{0: v} if v else {} for v in row] for row in rows])
+    assert det_int(rows) == expected.get(0, 0)
+
+
+@PROPERTY_SETTINGS
+@given(st.tuples(st.integers(0, 5), st.integers(0, 5)).flatmap(lambda shape: int_matrices(*shape)))
+def test_rank_int_property_against_fraction_oracle(rows):
+    assert rank_int(rows) == fraction_rank(rows)
 
 
 def test_rank_int_edge_cases():
@@ -246,3 +273,37 @@ def test_two_routes_agree_on_small_box():
                 via_matrix = alexander_from_seifert(pretzel_seifert_matrix(l, m, n))
                 via_formula = alexander_closed_form(PretzelKnot(l, m, n))
                 assert via_matrix == via_formula
+
+
+def _sympy_alexander(rows):
+    """Normalized det(V - t*V^T) over ZZ[t] by sympy, coefficients lowest first."""
+    t = symbols("t")
+    ring = ZZ[t]
+    n = len(rows)
+    entries = [[ring(rows[i][j]) - ring(rows[j][i]) * ring(t) for j in range(n)] for i in range(n)]
+    det = DomainMatrix(entries, (n, n), ring).det()
+    coeffs = Poly(ring.to_sympy(det), t).all_coeffs()[::-1]
+    while coeffs[0] == 0:
+        coeffs.pop(0)
+    sign = 1 if sum(coeffs) == 1 else -1
+    return [sign * int(c) for c in coeffs]
+
+
+@pytest.mark.parametrize("genus", range(3, 9))
+def test_alexander_from_seifert_matches_sympy_at_higher_genus(genus):
+    # V = V0 + S with V0 - V0^T the standard symplectic form and S symmetric,
+    # so det(V - V^T) = 1; interpolation runs on 2g + 1 = 7..17 sample points.
+    rng = random.Random(genus)
+    size = 2 * genus
+    rows = [[0] * size for _ in range(size)]
+    for b in range(genus):
+        rows[2 * b][2 * b + 1] = 1
+    for i in range(size):
+        for j in range(i, size):
+            s = rng.randint(-3, 3)
+            rows[i][j] += s
+            if j != i:
+                rows[j][i] += s
+    poly = alexander_from_seifert(SeifertMatrix.from_rows(rows))
+    assert poly.lowest == 0
+    assert list(poly.coeffs) == _sympy_alexander(rows)
