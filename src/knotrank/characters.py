@@ -65,11 +65,24 @@ class CertifiedWitness:
         return cls(w, rank, factorization, mp)
 
 
-def certify(w: WitnessKnot) -> CertifiedWitness:
-    """Attach rank, factorization, and max prime to a witness."""
+def certify(w: WitnessKnot, known_prime: int = 1) -> CertifiedWitness:
+    """Attach rank, factorization, and max prime to a witness.
+
+    ``known_prime``, if above 1, must be prime.  It is divided out of
+    the rank while it divides, and only the cofactor is factored.  The
+    factorization is unique, so the result is the same as without it;
+    only the cost changes.
+    """
     r = pretzel.hfk_top_rank(w)
-    factors = tuple(numtheory.factorize(r))
-    return CertifiedWitness(w, r, factors, factors[-1].prime if factors else 1)
+    cofactor = r
+    e = 0
+    while known_prime > 1 and cofactor % known_prime == 0:
+        cofactor //= known_prime
+        e += 1
+    factors = numtheory.factorize(cofactor)
+    if e:
+        factors = sorted([*factors, PrimePower(known_prime, e)])
+    return CertifiedWitness(w, r, tuple(factors), factors[-1].prime if factors else 1)
 
 
 def _exponent_in(factorization: tuple[PrimePower, ...], p: int) -> int:
@@ -221,7 +234,9 @@ def witness_for_prime(p: int) -> CertifiedWitness:
     """The certified witness whose rank the prime p divides.
 
     Requires p prime and p = 1 (mod 4); the index comes from the square
-    root of -1 case split, so prime_component(witness, p) >= 1.
+    root of -1 case split, so prime_component(witness, p) >= 1.  The
+    index is at most p, so the rank is below 2p^2; p is passed to
+    ``certify`` as a known prime, which leaves a cofactor below 2p to
+    factor, so Pollard rho never sees a number near p^2.
     """
-    index = numtheory.witness_index(p)
-    return certify(pretzel.witness(index))
+    return certify(pretzel.witness(numtheory.witness_index(p)), known_prime=p)

@@ -110,10 +110,56 @@ def det_int(rows: Sequence[Sequence[int]]) -> int:
     return pivot if rank == n else 0
 
 
+# A word-size prime for the modular rank screen in ``rank_int``.
+_RANK_PRIME = 2**61 - 1
+
+
+def _rank_mod(rows: Sequence[Sequence[int]], p: int) -> int:
+    """Rank over the field of p elements, by division-free elimination.
+
+    Rows whose entry in the pivot column is 0 mod p are skipped, so a
+    triangular matrix costs O(k^2).
+    """
+    m = [[v % p for v in row] for row in rows]
+    n_rows = len(m)
+    n_cols = len(m[0]) if m else 0
+    rank = 0
+    for c in range(n_cols):
+        pivot_row = rank
+        while pivot_row < n_rows and not m[pivot_row][c]:
+            pivot_row += 1
+        if pivot_row == n_rows:
+            continue
+        m[rank], m[pivot_row] = m[pivot_row], m[rank]
+        row_k = m[rank]
+        pivot = row_k[c]
+        for i in range(rank + 1, n_rows):
+            row_i = m[i]
+            factor = row_i[c]
+            if not factor:
+                continue
+            for j in range(c + 1, n_cols):
+                row_i[j] = (pivot * row_i[j] - factor * row_k[j]) % p
+        rank += 1
+        if rank == n_rows:
+            break
+    return rank
+
+
 def rank_int(rows: Sequence[Sequence[int]]) -> int:
-    """Rank of an integer matrix over the rationals, by fraction-free elimination."""
+    """Rank of an integer matrix over the rationals.
+
+    The rank modulo a fixed prime is never above the rank over the
+    rationals, so when the modular rank already equals min(rows, cols)
+    it is the answer.  Otherwise the exact fraction-free elimination
+    decides.  A triangular matrix with nonzero diagonal, as in an
+    independence certificate, takes the O(k^2) modular path.
+    """
     if any(len(row) != len(rows[0]) for row in rows):
         raise ValueError("matrix rows have unequal lengths")
+    full = min(len(rows), len(rows[0]) if rows else 0)
+    if _rank_mod(rows, _RANK_PRIME) == full:
+        return full
     return _eliminate(rows)[0]
 
 

@@ -1,6 +1,8 @@
 import random
+import time
 
 import pytest
+from sympy import isprime, nextprime
 
 from knotrank.characters import (
     CertifiedWitness,
@@ -18,6 +20,7 @@ from knotrank.numtheory import (
     PrimePower,
     factorize,
     primes_one_mod_four,
+    witness_index,
 )
 from knotrank.pretzel import WitnessKnot, hfk_top_rank, stabilize, witness
 from oracles import fraction_rank
@@ -69,6 +72,14 @@ def test_certify_invariants():
         for p in (2, 3, 7, 101):
             if p not in listed:
                 assert prime_component(cw.witness, p) == 0
+
+
+def test_certify_known_prime_changes_nothing():
+    # dividing a known prime out first must give the unique factorization
+    for n in (1, 2, 4, 7, 11, 20, 313):
+        w = witness(n)
+        for q in (2, 5, 13, 17, 101, 1_000_003):
+            assert certify(w, known_prime=q) == certify(w)
 
 
 def test_build_certificate_two_rows():
@@ -221,6 +232,49 @@ def test_witness_for_prime_nontriviality_below_ten_thousand():
     for p in primes_one_mod_four(10_000):
         cw = witness_for_prime(p)
         assert prime_component(cw.witness, p) >= 1
+
+
+def test_witness_for_prime_equals_certify_below_ten_thousand():
+    # dividing p out before factoring changes nothing, p = 5 (rank 5^2) included
+    primes = primes_one_mod_four(10_000)
+    assert primes[0] == 5
+    for p in primes:
+        assert witness_for_prime(p) == certify(witness(witness_index(p)))
+
+
+def primes_one_mod_four_from(start, count):
+    primes = []
+    p = start
+    while len(primes) < count:
+        p = nextprime(p)
+        if p % 4 == 1:
+            primes.append(p)
+    return primes
+
+
+@pytest.mark.parametrize("start", [10**10, 10**17])
+def test_witness_for_prime_factorization_at_large_primes(start):
+    for p in primes_one_mod_four_from(start, 10):
+        cw = witness_for_prime(p)
+        product = 1
+        for q, e in cw.factorization:
+            assert e >= 1
+            assert isprime(q)
+            product *= q**e
+        assert product == cw.rank == hfk_top_rank(cw.witness)
+        primes = [q for q, _ in cw.factorization]
+        assert all(a < b for a, b in zip(primes, primes[1:]))
+        assert p in primes
+        assert cw.max_prime == primes[-1]
+
+
+def test_witness_for_prime_budget_near_ten_to_seventeen():
+    # without dividing p out first, these ranks near 10^34 go to Pollard rho
+    primes = primes_one_mod_four_from(10**17, 20)
+    start = time.perf_counter()
+    for p in primes:
+        witness_for_prime(p)
+    assert time.perf_counter() - start < 2.0
 
 
 def test_prime_components_add_on_formal_products():

@@ -1,6 +1,9 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy import isprime
 
 from knotrank import numtheory
 from knotrank.numtheory import (
@@ -36,6 +39,14 @@ def test_is_prime_on_strong_pseudoprimes():
     assert not is_prime(3215031751)  # 151 * 751 * 28351, pseudoprime to 2,3,5,7
     assert not is_prime(3825123056546413051)  # pseudoprime to all bases up to 23
     assert 3825123056546413051 == 149491 * 747451 * 34233211
+
+
+def test_is_prime_rejects_pseudoprime_to_bases_up_to_37():
+    # the least strong pseudoprime to the 12 bases 2..37; base 41 exposes it
+    n = 318665857834031151167461
+    assert n == 399165290221 * 798330580441
+    assert not is_prime(n)
+    assert is_prime(399165290221) and is_prime(798330580441)
 
 
 def test_is_prime_near_64_bit_boundary():
@@ -164,3 +175,17 @@ def test_factorize_round_trips_on_random_inputs():
             product *= p**e
         assert product == x
         assert [p for p, _ in factors] == sorted({p for p, _ in factors})
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(1, 10**18))
+def test_factorize_property_against_sympy(x):
+    factors = factorize(x)
+    product = 1
+    for p, e in factors:
+        assert e >= 1
+        assert isprime(p)
+        product *= p**e
+    assert product == x
+    primes = [p for p, _ in factors]
+    assert all(a < b for a, b in zip(primes, primes[1:]))

@@ -125,6 +125,51 @@ def test_rank_int_edge_cases():
     assert rank_int([[1, 0], [0, 1]]) == 2
 
 
+RANK_PRIME = 2**61 - 1  # the modulus of rank_int's modular screen
+
+
+@pytest.mark.parametrize(
+    "rows, rank",
+    [
+        ([[RANK_PRIME]], 1),
+        ([[1, 1], [1, 1 + RANK_PRIME]], 2),
+        ([[RANK_PRIME, 0, 0], [0, 2 * RANK_PRIME, 0]], 2),
+        ([[1, 2, 3], [2, 4 + RANK_PRIME, 6], [0, 0, 1]], 3),
+        ([[RANK_PRIME], [3 * RANK_PRIME]], 1),
+    ],
+)
+def test_rank_int_full_rank_but_deficient_mod_screen_prime(rows, rank):
+    # the modular rank falls short, so the exact elimination must decide
+    assert rank_int(rows) == rank == fraction_rank(rows)
+
+
+@pytest.mark.parametrize(
+    "rows, rank",
+    [
+        ([[1, 2], [2, 4]], 1),
+        ([[1, 2, 3], [4, 5, 6], [5, 7, 9]], 2),
+        ([[0, 1, 2], [0, 2, 4], [0, 0, 0]], 1),
+        ([[RANK_PRIME, 1], [2 * RANK_PRIME, 2]], 1),
+        ([[3, 1, 4], [3, 1, 4]], 1),
+        ([[0], [0], [0]], 0),
+        ([[], []], 0),
+        ([[2, 0, 5], [0, 0, 7], [0, 0, 0]], 2),
+    ],
+)
+def test_rank_int_rank_deficient(rows, rank):
+    assert rank_int(rows) == rank == fraction_rank(rows)
+
+
+def test_rank_int_triangular_certificate_shape():
+    # triangular with a positive diagonal, as verify_certificate sees it
+    k = 30
+    rng = random.Random(77)
+    rows = [[0] * i + [rng.randint(1, 3)] + [rng.randint(0, 2) for _ in range(k - i - 1)] for i in range(k)]
+    assert rank_int(rows) == fraction_rank(rows) == k
+    rows[-1][-1] = 0
+    assert rank_int(rows) == fraction_rank(rows) == k - 1
+
+
 def test_determinant_poly_base_case():
     assert determinant_poly([[LaurentPoly(0, (1, -1))]]) == LaurentPoly(0, (1, -1))
 
