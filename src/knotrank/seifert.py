@@ -1,18 +1,31 @@
 """Seifert matrices and the Alexander polynomial determinant pipeline.
 
-The polynomial determinant is computed by sampling det(V - t*V^T) at
-the integer points 0, 1, -1, 2, -2, ... with fraction-free (Bareiss)
-elimination and recovering the coefficients by Newton interpolation.
-The divided differences of an integer polynomial at integer points are
-integers, so the whole pipeline is exact integer arithmetic.
+``alexander_from_seifert`` computes det(V - t*V^T) in O(n^3) for n = 2g.
+Since S = V - V^T is unimodular, V - t*V^T = S * (I + (1 - t) * M) with
+M = S^-1 * V^T, so the determinant is det(S) times a characteristic
+polynomial.  One modulus P above twice Hadamard's bound on the
+coefficients carries the whole computation: Gauss-Jordan elimination
+for M, a similarity reduction to upper Hessenberg form and the
+Hessenberg recurrence for the characteristic polynomial (Cohen, *A
+Course in Computational Algebraic Number Theory*, 2.2.4), then the
+symmetric residues, which are the exact coefficients.
+
+``determinant_poly``, the determinant of a general Laurent polynomial
+matrix, samples det at the integer points 0, 1, -1, 2, -2, ... with
+fraction-free (Bareiss) elimination and recovers the coefficients by
+Newton interpolation.  The divided differences of an integer
+polynomial at integer points are integers, so that pipeline is exact
+integer arithmetic too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 from typing import Sequence
 
 from .laurent import LaurentPoly, NotUnitAtOne
+from .numtheory import is_prime
 
 
 @dataclass(frozen=True)
@@ -54,6 +67,8 @@ class SeifertMatrix:
             entries = data["entries"]
         except (KeyError, TypeError) as exc:
             raise ValueError("Seifert matrix JSON needs 'size' and 'entries'") from exc
+        if not isinstance(size, int) or isinstance(size, bool):
+            raise ValueError("'size' must be an integer")
         if not isinstance(entries, list) or not all(isinstance(row, list) for row in entries):
             raise ValueError("'entries' must be a list of rows")
         matrix = cls.from_rows(entries)
@@ -213,8 +228,115 @@ def pretzel_seifert_matrix(l: int, m: int, n: int) -> SeifertMatrix:
     return SeifertMatrix.from_rows([[l + m + 1, m + 1], [m, m + n + 1]])
 
 
+def _coefficient_bound(e: Sequence[Sequence[int]]) -> int:
+    """B with |c| < B for every coefficient c of det(V - t*V^T).
+
+    A coefficient is at most the maximum of |det(V - z*V^T)| on |z| = 1
+    (Cauchy), and Hadamard's inequality bounds that determinant by the
+    product of its row norms, where |V_ij - z*V_ji| <= |V_ij| + |V_ji|.
+    """
+    n = len(e)
+    product = 1
+    for i in range(n):
+        row = e[i]
+        product *= sum((abs(row[j]) + abs(e[j][i])) ** 2 for j in range(n))
+    return isqrt(product) + 1
+
+
+def _alexander_mod(e: Sequence[Sequence[int]], p: int) -> list[int]:
+    """The coefficients of det(V - t*V^T) modulo p, lowest first.
+
+    Every step is a ring operation modulo p, and every division is by a
+    pivot inverted modulo p, so the result is correct for any modulus
+    p >= 2, prime or not.  A pivot that is not a unit modulo p raises
+    ``ValueError``, and so does S = V - V^T singular modulo p.
+    """
+    n = len(e)
+    # Gauss-Jordan on [S | -V^T] leaves [I | N] with N = -S^-1 * V^T.
+    rows = [
+        [(e[i][j] - e[j][i]) % p for j in range(n)] + [-e[j][i] % p for j in range(n)]
+        for i in range(n)
+    ]
+    det_s = 1
+    for c in range(n):
+        r = c
+        while r < n and not rows[r][c]:
+            r += 1
+        if r == n:
+            raise ValueError(f"V - V^T is singular modulo {p}")
+        if r != c:
+            rows[c], rows[r] = rows[r], rows[c]
+            det_s = -det_s
+        det_s = det_s * rows[c][c] % p
+        inv = pow(rows[c][c], -1, p)  # ValueError unless a unit
+        pivot_row = rows[c] = [x * inv % p for x in rows[c]]
+        for i in range(n):
+            f = rows[i][c]
+            if f and i != c:
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], pivot_row)]
+    h = [row[n:] for row in rows]
+    # Upper Hessenberg form by similarity: clear column k below row k + 1
+    # with row operations, and undo each one with a column operation.
+    for k in range(n - 2):
+        r = k + 1
+        while r < n and not h[r][k]:
+            r += 1
+        if r == n:
+            continue
+        if r != k + 1:
+            h[k + 1], h[r] = h[r], h[k + 1]
+            for row in h:
+                row[k + 1], row[r] = row[r], row[k + 1]
+        pivot_row = h[k + 1]
+        inv = pow(pivot_row[k], -1, p)  # ValueError unless a unit
+        factors = []
+        for i in range(k + 2, n):
+            u = h[i][k] * inv % p
+            if u:
+                h[i] = [(x - u * y) % p for x, y in zip(h[i], pivot_row)]
+                factors.append((i, u))
+        if factors:
+            for row in h:
+                row[k + 1] = (row[k + 1] + sum(u * row[i] for i, u in factors)) % p
+    # chars[m] is det(x*I - H_m) for the leading m x m block H_m, lowest first.
+    chars = [[1]]
+    for m in range(n):
+        nxt = [0] + chars[m]
+        diag = h[m][m]
+        for j, c in enumerate(chars[m]):
+            nxt[j] -= diag * c
+        sub = 1
+        for i in range(m - 1, -1, -1):
+            sub = sub * h[i + 1][i] % p
+            if not sub:
+                break
+            f = h[i][m] * sub % p
+            for j, c in enumerate(chars[i]):
+                nxt[j] -= f * c
+        chars.append([c % p for c in nxt])
+    # det(I - s*N) = sum of chars[n][n - j] * s^j.  Horner in s = 1 - t
+    # gives det(I + (1 - t) * M); det(S) scales it to det(V - t*V^T).
+    coeffs = [0] * (n + 1)
+    for a in chars[n]:
+        coeffs = [(a + coeffs[0]) % p] + [(x - y) % p for x, y in zip(coeffs[1:], coeffs)]
+    return [c * det_s % p for c in coeffs]
+
+
 def alexander_from_seifert(V: SeifertMatrix) -> LaurentPoly:
-    """Normalized Alexander polynomial via det(V - t*V^T)."""
+    """Normalized Alexander polynomial via det(V - t*V^T).
+
+    Raises ``NotUnitAtOne`` unless det(V - V^T) = +-1.  At genus 1,
+    V = [[w, x], [y, z]] gives (wz - xy) * (1 + t^2) + (x^2 + y^2 - 2wz) * t
+    directly.  Above it the coefficients come from ``_alexander_mod``
+    modulo the first prime P > 2B, with B from ``_coefficient_bound``.
+
+    The result is exact whether or not P is prime: each step is a ring
+    operation with a unit pivot, so the residues are those of the integer
+    coefficients, and since every coefficient lies in (-B, B) and P > 2B,
+    its symmetric residue is the coefficient itself.  A pivot that is
+    not a unit raises ``ValueError``, which moves the search on to the
+    next prime.
+    """
     n = V.size
     e = V.entries
     skew = [[e[i][j] - e[j][i] for j in range(n)] for i in range(n)]
@@ -223,10 +345,21 @@ def alexander_from_seifert(V: SeifertMatrix) -> LaurentPoly:
         raise NotUnitAtOne(
             f"det(V - V^T) = {d}; the matrix is not a Seifert matrix of a knot"
         )
-    vmt = [
-        [LaurentPoly(0, (e[i][j], -e[j][i])) for j in range(n)] for i in range(n)
-    ]
-    return determinant_poly(vmt).normalize()
+    if n == 2:
+        (w, x), (y, z) = e
+        det_v = w * z - x * y
+        return LaurentPoly(0, (det_v, x * x + y * y - 2 * w * z, det_v)).normalize()
+    p = 2 * _coefficient_bound(e) + 1
+    while True:
+        if is_prime(p):
+            try:
+                residues = _alexander_mod(e, p)
+                break
+            except ValueError:
+                pass
+        p += 2
+    half = p // 2
+    return LaurentPoly(0, [c - p if c > half else c for c in residues]).normalize()
 
 
 def fiberedness(poly: LaurentPoly, genus: int) -> tuple[bool, list[str]]:

@@ -108,3 +108,23 @@ def fraction_rank(rows):
         if rank == n_rows:
             break
     return rank
+
+
+def det_mod(rows, q):
+    """Determinant modulo a prime q, by Gaussian elimination with Fermat inverses."""
+    m = [[v % q for v in row] for row in rows]
+    n = len(m)
+    det = 1
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if m[i][c]), None)
+        if pivot is None:
+            return 0
+        if pivot != c:
+            m[c], m[pivot] = m[pivot], m[c]
+            det = -det
+        det = det * m[c][c] % q
+        inv = pow(m[c][c], q - 2, q)
+        for i in range(c + 1, n):
+            f = m[i][c] * inv % q
+            m[i] = [(a - f * b) % q for a, b in zip(m[i], m[c])]
+    return det % q

@@ -1,11 +1,16 @@
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from knotrank import characters, cli
 
@@ -83,6 +88,79 @@ def test_alexander_rejects_rows_that_are_not_lists(capsys, tmp_path, entries):
     code, _, err = run_cli(capsys, "alexander", "--seifert", write_matrix(tmp_path, entries))
     assert code == 2
     assert err == "error: 'entries' must be a list of rows\n"
+
+
+TREFOIL_ROWS = [[1, 1], [0, 1]]
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        pytest.param({"entries": TREFOIL_ROWS}, id="missing-size"),
+        pytest.param({"size": 2}, id="missing-entries"),
+        pytest.param(TREFOIL_ROWS, id="list-not-object"),
+        pytest.param("matrix", id="string-not-object"),
+        pytest.param(None, id="null-not-object"),
+        pytest.param({"size": "2", "entries": TREFOIL_ROWS}, id="size-string"),
+        pytest.param({"size": 2.0, "entries": TREFOIL_ROWS}, id="size-float"),
+        pytest.param({"size": True, "entries": [[0, 1], [0, 0]]}, id="size-bool"),
+        pytest.param({"size": 2, "entries": "[[1, 1], [0, 1]]"}, id="entries-string"),
+        pytest.param({"size": 2, "entries": {"0": [1, 1], "1": [0, 1]}}, id="entries-object"),
+        pytest.param({"size": 2, "entries": [[1, 1], [0]]}, id="ragged"),
+        pytest.param({"size": 3, "entries": [[0, 1, 0], [0, 0, 1], [1, 0, 0]]}, id="odd-size"),
+        pytest.param({"size": 0, "entries": []}, id="empty"),
+        pytest.param({"size": 2, "entries": [[1, 1.5], [0, 1]]}, id="float-entry"),
+        pytest.param({"size": 2, "entries": [[1, 1.0], [0, 1]]}, id="integral-float-entry"),
+        pytest.param({"size": 2, "entries": [[1, "1"], [0, 1]]}, id="string-entry"),
+        pytest.param({"size": 2, "entries": [[1, None], [0, 1]]}, id="null-entry"),
+        pytest.param({"size": 2, "entries": [[1, True], [0, 1]]}, id="bool-entry"),
+        pytest.param({"size": 2, "entries": [[1, 1], [False, 1]]}, id="bool-entry-below"),
+    ],
+)
+@pytest.mark.parametrize("command", ["alexander", "fibered"])
+def test_malformed_seifert_envelope_exits_two(capsys, tmp_path, payload, command):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, command, "--seifert", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+json_scalars = (
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(-3, 3) | st.text(max_size=2)
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["size", "entries", "x"]), inner, max_size=3),
+    max_leaves=16,
+)
+int_rows = st.integers(0, 3).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n)
+)
+envelopes = json_values | st.fixed_dictionaries(
+    {"size": st.integers(0, 4) | json_values, "entries": int_rows | json_values}
+)
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(envelopes)
+def test_any_seifert_envelope_maps_to_an_exit_code(payload):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "matrix.json"
+        path.write_text(json.dumps(payload))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(["fibered", "--seifert", str(path), "--json"])
+    assert code in (0, 1, 2)
+    if code:
+        assert out.getvalue() == "" and err.getvalue().startswith("error: ")
 
 
 def test_alexander_rejects_deeply_nested_json(capsys, tmp_path):
@@ -306,15 +384,43 @@ def test_unknown_command_exits_two(capsys):
     assert code == 2
 
 
-def test_module_entry_point_subprocess():
+def run_module(*argv, timeout):
     env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-m", "knotrank", "rank", "--index", "2", "--json"],
+    env.pop("PYTHONINTMAXSTRDIGITS", None)  # keep CPython's default 4300-digit limit
+    return subprocess.run(
+        [sys.executable, "-m", "knotrank", *argv],
         capture_output=True,
         text=True,
         env=env,
         cwd=REPO_ROOT,
+        timeout=timeout,
     )
+
+
+def test_rank_large_stabilization_within_budget():
+    # (1 - t + t^2)^3000 by dense repeated squaring ran past 20 s
+    start = time.perf_counter()
+    proc = run_module("rank", "--index", "3", "--stab", "3000", "--json", timeout=30)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0, proc.stderr
+    assert elapsed < 5.0, f"rank --stab 3000 took {elapsed:.2f}s, budget 5s"
+    result = json.loads(proc.stdout)["result"]
+    assert result["genus"] == 3001
+    coeffs = result["alexander"]["coeffs"]
+    assert len(coeffs) == 6003 and sum(coeffs) == 1 and coeffs == coeffs[::-1]
+
+
+def test_rank_past_the_int_string_limit_exits_two():
+    # the largest coefficient of (1 - t + t^2)^9100 has more than 4300 digits
+    proc = run_module("rank", "--index", "3", "--stab", "9100", timeout=30)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+    assert "limit" in proc.stderr
+
+
+def test_module_entry_point_subprocess():
+    proc = run_module("rank", "--index", "2", "--json", timeout=60)
     assert proc.returncode == 0
     envelope = json.loads(proc.stdout)
     assert envelope["result"]["rank"] == 5

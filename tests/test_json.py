@@ -1,0 +1,65 @@
+"""JSON round trips of every serialized type, through real JSON text."""
+
+import json
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from knotrank.characters import (
+    CertifiedWitness,
+    IndependenceCertificate,
+    build_certificate,
+    certify,
+)
+from knotrank.laurent import LaurentPoly
+from knotrank.pretzel import WitnessKnot, hfk_top_rank
+from knotrank.seifert import SeifertMatrix
+
+ROUND_TRIP = settings(max_examples=200, deadline=None, derandomize=True)
+
+
+def through_text(data):
+    return json.loads(json.dumps(data))
+
+
+@ROUND_TRIP
+@given(st.integers(-(10**6), 10**6), st.lists(st.integers(-(10**40), 10**40), max_size=8))
+def test_laurent_poly_round_trip(lowest, coeffs):
+    poly = LaurentPoly(lowest, coeffs)
+    assert LaurentPoly.from_json(through_text(poly.to_json())) == poly
+
+
+@st.composite
+def seifert_matrices(draw):
+    size = 2 * draw(st.integers(1, 4))
+    row = st.lists(st.integers(-(10**20), 10**20), min_size=size, max_size=size)
+    return SeifertMatrix.from_rows(draw(st.lists(row, min_size=size, max_size=size)))
+
+
+@ROUND_TRIP
+@given(seifert_matrices())
+def test_seifert_matrix_round_trip(matrix):
+    assert SeifertMatrix.from_json(through_text(matrix.to_json())) == matrix
+
+
+@ROUND_TRIP
+@given(st.integers(1, 10**15), st.integers(0, 50))
+def test_witness_knot_round_trip(index, stab):
+    w = WitnessKnot(index, stab)
+    data = through_text(w.to_json())
+    assert WitnessKnot.from_json(data) == w
+    assert data["top_rank"] == hfk_top_rank(w)
+
+
+@ROUND_TRIP
+@given(st.integers(1, 10**6))
+def test_certified_witness_round_trip(index):
+    cw = certify(WitnessKnot(index))
+    assert CertifiedWitness.from_json(through_text(cw.to_json())) == cw
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.integers(1, 30))
+def test_certificate_round_trip(count):
+    cert = build_certificate(count, 10_000)
+    assert IndependenceCertificate.from_json(through_text(cert.to_json())) == cert

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from knotrank.laurent import LaurentPoly, NotUnitAtOne, PoleAtZero, ZeroPolynomial
 from oracles import d_add, d_mul, poly_to_dict
@@ -199,6 +201,20 @@ def test_pow_matches_repeated_mul():
             acc = acc * a
     with pytest.raises(ValueError):
         ONE_MINUS_T_PLUS_T2**-1
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.integers(-5, 5),
+    st.lists(st.integers(-6, 6), max_size=5),
+    st.integers(0, 40),
+)
+def test_pow_property_against_repeated_d_mul(lowest, coeffs, k):
+    base = LaurentPoly(lowest, coeffs)
+    expected = {0: 1}
+    for _ in range(k):
+        expected = d_mul(expected, poly_to_dict(base))
+    assert poly_to_dict(base**k) == expected
 
 
 def test_int_coercion_in_arithmetic():

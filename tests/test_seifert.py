@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -6,10 +7,13 @@ from hypothesis import strategies as st
 from sympy import ZZ, Poly, symbols
 from sympy.polys.matrices import DomainMatrix
 
+from knotrank import seifert
 from knotrank.laurent import LaurentPoly, NotUnitAtOne
 from knotrank.pretzel import PretzelKnot, alexander_closed_form
 from knotrank.seifert import (
     SeifertMatrix,
+    _alexander_mod,
+    _coefficient_bound,
     alexander_from_seifert,
     det_int,
     determinant_poly,
@@ -18,7 +22,7 @@ from knotrank.seifert import (
     pretzel_seifert_matrix,
     rank_int,
 )
-from oracles import d_det, fraction_rank, poly_to_dict
+from oracles import d_det, d_trim, det_mod, fraction_rank, poly_to_dict
 
 TREFOIL = SeifertMatrix.from_rows([[1, 1], [0, 1]])
 ONE_MINUS_T_PLUS_T2 = LaurentPoly(0, (1, -1, 1))
@@ -334,21 +338,151 @@ def _sympy_alexander(rows):
     return [sign * int(c) for c in coeffs]
 
 
-@pytest.mark.parametrize("genus", range(3, 9))
-def test_alexander_from_seifert_matches_sympy_at_higher_genus(genus):
-    # V = V0 + S with V0 - V0^T the standard symplectic form and S symmetric,
-    # so det(V - V^T) = 1; interpolation runs on 2g + 1 = 7..17 sample points.
-    rng = random.Random(genus)
+def symplectic_plus_symmetric(genus, upper):
+    """V = V0 + S, V0 - V0^T the standard symplectic form, S symmetric.
+
+    ``upper`` lists S's upper triangle row by row; det(V - V^T) = 1.
+    """
     size = 2 * genus
     rows = [[0] * size for _ in range(size)]
     for b in range(genus):
         rows[2 * b][2 * b + 1] = 1
+    values = iter(upper)
     for i in range(size):
         for j in range(i, size):
-            s = rng.randint(-3, 3)
+            s = next(values)
             rows[i][j] += s
             if j != i:
                 rows[j][i] += s
+    return rows
+
+
+def random_knot_matrix(rng, genus, entry=3):
+    size = 2 * genus
+    upper = [rng.randint(-entry, entry) for _ in range(size * (size + 1) // 2)]
+    return symplectic_plus_symmetric(genus, upper)
+
+
+@pytest.mark.parametrize("genus", range(3, 9))
+def test_alexander_from_seifert_matches_sympy_at_higher_genus(genus):
+    rows = random_knot_matrix(random.Random(genus), genus)
     poly = alexander_from_seifert(SeifertMatrix.from_rows(rows))
     assert poly.lowest == 0
     assert list(poly.coeffs) == _sympy_alexander(rows)
+
+
+def cofactor_seifert_det(rows):
+    """Coefficients of det(V - t*V^T), t^0 to t^n, by the cofactor oracle."""
+    n = len(rows)
+    det = d_det([[d_trim({0: rows[i][j], 1: -rows[j][i]}) for j in range(n)] for i in range(n)])
+    return [det.get(k, 0) for k in range(n + 1)]
+
+
+def normalized(coeffs):
+    """Strip zeros at both ends and fix the sign so the value at t = 1 is +1."""
+    nonzero = [k for k, c in enumerate(coeffs) if c]
+    coeffs = coeffs[nonzero[0] : nonzero[-1] + 1]
+    sign = 1 if sum(coeffs) == 1 else -1
+    return [sign * c for c in coeffs]
+
+
+@st.composite
+def knot_matrices(draw):
+    """Genus 1-3 knot matrices with entries up to 10^6, some moved by a congruence.
+
+    A congruence V -> U V U^T with det U = 1 keeps det(V - V^T) = 1 but
+    fills in V - V^T, so the elimination meets dense pivot columns.
+    """
+    genus = draw(st.integers(1, 3))
+    size = 2 * genus
+    count = size * (size + 1) // 2
+    upper = draw(st.lists(st.integers(-(10**6), 10**6), min_size=count, max_size=count))
+    rows = symplectic_plus_symmetric(genus, upper)
+    index = st.integers(0, size - 1)
+    for i, j, c in draw(st.lists(st.tuples(index, index, st.integers(-3, 3)), max_size=4)):
+        if i != j:
+            rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+            for row in rows:
+                row[i] += c * row[j]
+    return rows
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(knot_matrices())
+def test_alexander_from_seifert_property_against_cofactor_oracle(rows):
+    expected = cofactor_seifert_det(rows)
+    assert max(abs(c) for c in expected) < _coefficient_bound(rows)
+    poly = alexander_from_seifert(SeifertMatrix.from_rows(rows))
+    assert poly.lowest == 0
+    assert list(poly.coeffs) == normalized(expected)
+
+
+def test_alexander_from_seifert_genus_forty_budget():
+    rng = random.Random(40)
+    rows = random_knot_matrix(rng, 40, entry=2)
+    start = time.perf_counter()
+    poly = alexander_from_seifert(SeifertMatrix.from_rows(rows))
+    elapsed = time.perf_counter() - start
+    assert elapsed < 4.0, f"genus 40 took {elapsed:.2f}s, budget 4s"
+    assert poly.lowest == 0 and poly.is_symmetric() and poly.eval_at(1) == 1
+    # Delta = +-t^-k * det(V - t*V^T), with k = (80 - span) / 2 by symmetry
+    q = 2**61 - 1
+    x = rng.randrange(2, q)
+    at_x = det_mod([[rows[i][j] - x * rows[j][i] for j in range(80)] for i in range(80)], q)
+    k = (80 - poly.degree_span()) // 2
+    value = sum(c * pow(x, k + i, q) for i, c in enumerate(poly.coeffs)) % q
+    assert at_x in (value, -value % q)
+
+
+def test_alexander_mod_any_modulus_raises_or_is_right():
+    # Composite moduli, and primes below 2B: the residues need no prime
+    # and no bound; only a non-unit pivot stops the routine.
+    rng = random.Random(11)
+    matrices = [random_knot_matrix(rng, genus) for genus in (2, 3) for _ in range(4)]
+    moduli = [4, 9, 15, 27, 35, 97, 2**64, 3 * (2**61 - 1), (2**61 - 1) * (2**89 - 1)]
+    outcomes = set()
+    for rows in matrices:
+        expected = cofactor_seifert_det(rows)
+        for modulus in moduli:
+            try:
+                residues = _alexander_mod(rows, modulus)
+            except ValueError:
+                outcomes.add("raised")
+                continue
+            assert residues == [c % modulus for c in expected], modulus
+            outcomes.add("returned")
+    assert outcomes == {"raised", "returned"}
+
+
+def test_alexander_mod_raises_when_skew_part_is_singular_mod_p():
+    # det(V - V^T) = 4 is not a unit modulo 2
+    rows = [[0, 2, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]]
+    with pytest.raises(ValueError):
+        _alexander_mod(rows, 2)
+
+
+def test_alexander_from_seifert_moves_on_after_a_non_unit_pivot(monkeypatch):
+    rows = random_knot_matrix(random.Random(3), 3)
+    expected = alexander_from_seifert(SeifertMatrix.from_rows(rows))
+    moduli = []
+    real = seifert._alexander_mod
+
+    def fail_first(e, p):
+        moduli.append(p)
+        if len(moduli) == 1:
+            raise ValueError("base is not invertible for the given modulus")
+        return real(e, p)
+
+    monkeypatch.setattr(seifert, "_alexander_mod", fail_first)
+    assert alexander_from_seifert(SeifertMatrix.from_rows(rows)) == expected
+    assert len(moduli) == 2 and moduli[1] > moduli[0] > 2 * _coefficient_bound(rows)
+
+
+def test_alexander_from_seifert_exact_with_composite_candidates(monkeypatch):
+    # With every odd number taken for a prime, the search starts at 2B + 1
+    # whatever it is; a composite either works or moves the search on.
+    rng = random.Random(8)
+    matrices = [random_knot_matrix(rng, genus) for genus in (2, 3, 4) for _ in range(5)]
+    expected = [alexander_from_seifert(SeifertMatrix.from_rows(rows)) for rows in matrices]
+    monkeypatch.setattr(seifert, "is_prime", lambda x: True)
+    assert [alexander_from_seifert(SeifertMatrix.from_rows(rows)) for rows in matrices] == expected
