@@ -44,7 +44,6 @@ from .pretzel import (
 from .seifert import (
     SeifertMatrix,
     alexander_from_seifert,
-    determinant_poly,
     fiberedness,
     is_homology_product,
     pretzel_seifert_matrix,
@@ -74,7 +73,6 @@ __all__ = [
     "alexander_of_witness",
     "build_certificate",
     "certify",
-    "determinant_poly",
     "factorize",
     "fiberedness",
     "hfk_bigraded",

@@ -70,9 +70,6 @@ class LaurentPoly:
         """The monomial ``coeff * t**exponent``."""
         return cls(exponent, (coeff,))
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 

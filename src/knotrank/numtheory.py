@@ -1,8 +1,8 @@
 """Number theory for the witness construction.
 
-Primality (deterministic below 3.3 * 10^24), primes congruent to 1 mod
-4, square roots of -1 modulo such primes, the witness-index case split,
-and complete integer factorization.
+Primality (deterministic below ``PRIMALITY_BOUND``, about 3.3 * 10^24),
+primes congruent to 1 mod 4, square roots of -1 modulo such primes, the
+witness-index case split, and complete integer factorization.
 """
 
 from __future__ import annotations
@@ -26,16 +26,18 @@ class PrimePower(NamedTuple):
 
 
 # The first 13 prime bases, 2 to 41, admit no strong pseudoprime below
-# 3317044064679887385961981 (about 3.3 * 10^24; OEIS A014233).  The 12
-# bases up to 37 alone are fooled by 318665857834031151167461.
+# PRIMALITY_BOUND (about 3.3 * 10^24; OEIS A014233), which is itself the
+# least strong pseudoprime to all 13.  The 12 bases up to 37 alone are
+# fooled by 318665857834031151167461.
+PRIMALITY_BOUND = 3317044064679887385961981
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def is_prime(x: int) -> bool:
-    """Miller-Rabin primality, deterministic below 3.3 * 10^24.
+    """Miller-Rabin primality, deterministic below ``PRIMALITY_BOUND``.
 
-    That range covers every 64-bit integer; above it a True answer is
-    probable, not proven.
+    That range covers every 64-bit integer; from ``PRIMALITY_BOUND`` on
+    a True answer is probable, not proven.
     """
     if x < 2:
         return False

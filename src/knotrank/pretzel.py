@@ -92,7 +92,7 @@ class WitnessKnot:
             stab = data.get("stab", 0)
         except TypeError as exc:
             raise ValueError("witness JSON needs an 'index' field") from exc
-        if not isinstance(index, int) or not isinstance(stab, int):
+        if any(not isinstance(v, int) or isinstance(v, bool) for v in (index, stab)):
             raise ValueError("'index' and 'stab' must be integers")
         return cls(index, stab)
 

@@ -9,13 +9,6 @@ for M, a similarity reduction to upper Hessenberg form and the
 Hessenberg recurrence for the characteristic polynomial (Cohen, *A
 Course in Computational Algebraic Number Theory*, 2.2.4), then the
 symmetric residues, which are the exact coefficients.
-
-``determinant_poly``, the determinant of a general Laurent polynomial
-matrix, samples det at the integer points 0, 1, -1, 2, -2, ... with
-fraction-free (Bareiss) elimination and recovers the coefficients by
-Newton interpolation.  The divided differences of an integer
-polynomial at integer points are integers, so that pipeline is exact
-integer arithmetic too.
 """
 
 from __future__ import annotations
@@ -125,102 +118,15 @@ def det_int(rows: Sequence[Sequence[int]]) -> int:
     return pivot if rank == n else 0
 
 
-# A word-size prime for the modular rank screen in ``rank_int``.
-_RANK_PRIME = 2**61 - 1
-
-
-def _rank_mod(rows: Sequence[Sequence[int]], p: int) -> int:
-    """Rank over the field of p elements, by division-free elimination.
-
-    Rows whose entry in the pivot column is 0 mod p are skipped, so a
-    triangular matrix costs O(k^2).
-    """
-    m = [[v % p for v in row] for row in rows]
-    n_rows = len(m)
-    n_cols = len(m[0]) if m else 0
-    rank = 0
-    for c in range(n_cols):
-        pivot_row = rank
-        while pivot_row < n_rows and not m[pivot_row][c]:
-            pivot_row += 1
-        if pivot_row == n_rows:
-            continue
-        m[rank], m[pivot_row] = m[pivot_row], m[rank]
-        row_k = m[rank]
-        pivot = row_k[c]
-        for i in range(rank + 1, n_rows):
-            row_i = m[i]
-            factor = row_i[c]
-            if not factor:
-                continue
-            for j in range(c + 1, n_cols):
-                row_i[j] = (pivot * row_i[j] - factor * row_k[j]) % p
-        rank += 1
-        if rank == n_rows:
-            break
-    return rank
-
-
 def rank_int(rows: Sequence[Sequence[int]]) -> int:
     """Rank of an integer matrix over the rationals.
 
-    The rank modulo a fixed prime is never above the rank over the
-    rationals, so when the modular rank already equals min(rows, cols)
-    it is the answer.  Otherwise the exact fraction-free elimination
-    decides.  A triangular matrix with nonzero diagonal, as in an
-    independence certificate, takes the O(k^2) modular path.
+    Fraction-free (Bareiss) elimination: every division is exact, so
+    the rank is exact for entries of any size.
     """
     if any(len(row) != len(rows[0]) for row in rows):
         raise ValueError("matrix rows have unequal lengths")
-    full = min(len(rows), len(rows[0]) if rows else 0)
-    if _rank_mod(rows, _RANK_PRIME) == full:
-        return full
     return _eliminate(rows)[0]
-
-
-def _interpolate_int(points: Sequence[int], values: Sequence[int]) -> list[int]:
-    """Coefficients, lowest first, of the integer polynomial through the points."""
-    n = len(points)
-    diffs = list(values)
-    for k in range(1, n):
-        for i in range(n - 1, k - 1, -1):
-            q, r = divmod(diffs[i] - diffs[i - 1], points[i] - points[i - k])
-            if r:
-                raise ArithmeticError("interpolation did not clear to integer coefficients")
-            diffs[i] = q
-    # Nested multiplication: p = d0 + (t - x0)(d1 + (t - x1)(d2 + ...)).
-    coeffs = [diffs[-1]]
-    for k in range(n - 2, -1, -1):
-        x = points[k]
-        coeffs = [diffs[k] - x * coeffs[0]] + [
-            a - x * b for a, b in zip(coeffs, coeffs[1:])
-        ] + [coeffs[-1]]
-    return coeffs
-
-
-def determinant_poly(matrix: Sequence[Sequence[LaurentPoly]]) -> LaurentPoly:
-    """Exact determinant of a square matrix with Laurent polynomial entries."""
-    n = len(matrix)
-    for row in matrix:
-        if len(row) != n:
-            raise ValueError("matrix is not square")
-    if n == 0:
-        return LaurentPoly.one()
-    # Factor t^v out of each row so every entry becomes an ordinary
-    # polynomial; the shifts multiply back onto the result.
-    shift = 0
-    rows: list[list[LaurentPoly]] = []
-    for row in matrix:
-        nonzero = [e for e in row if e]
-        if not nonzero:
-            return LaurentPoly.zero()
-        v = min(e.lowest for e in nonzero)
-        shift += v
-        rows.append([e.shift(-v) for e in row])
-    bound = sum(max(e.highest for e in row if e) for row in rows)
-    points = [(k + 1) // 2 if k % 2 else -(k // 2) for k in range(bound + 1)]
-    values = [det_int([[e.eval_at(x) for e in row] for row in rows]) for x in points]
-    return LaurentPoly(shift, _interpolate_int(points, values))
 
 
 def pretzel_seifert_matrix(l: int, m: int, n: int) -> SeifertMatrix:

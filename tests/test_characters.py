@@ -2,6 +2,8 @@ import random
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from sympy import isprime, nextprime
 
 from knotrank.characters import (
@@ -202,6 +204,46 @@ def test_verify_rejects_recomputed_entry_mismatch():
     result = verify_certificate(tampered)
     assert not result
     assert "factoriz" in result.reason
+
+
+TWELVE = build_certificate(12, 10_000)
+TAMPER = settings(max_examples=300, deadline=None, derandomize=True)
+
+
+def tampered_twelve(primes, matrix):
+    return IndependenceCertificate(
+        TWELVE.witnesses, tuple(primes), tuple(tuple(row) for row in matrix)
+    )
+
+
+@TAMPER
+@given(st.integers(0, 11), st.integers(0, 11), st.integers(-50, 50).filter(bool))
+@example(3, 3, -1)
+@example(7, 2, 1)
+def test_verify_rejects_any_single_entry_change(i, j, delta):
+    matrix = [list(row) for row in TWELVE.evaluation]
+    matrix[i][j] += delta
+    result = verify_certificate(tampered_twelve(TWELVE.selected_primes, matrix))
+    assert not result
+    # a change that breaks the shape is refused by the shape checks themselves
+    if j < i:
+        assert "triangularity" in result.reason
+    elif i == j and matrix[i][i] < 1:
+        assert "diagonal" in result.reason
+
+
+@TAMPER
+@given(st.integers(0, 11), st.integers(-200, 200).filter(bool), st.booleans())
+@example(11, 1187 - 1201, True)
+def test_verify_rejects_any_single_prime_change(i, delta, rebuild):
+    primes = list(TWELVE.selected_primes)
+    primes[i] += delta
+    matrix = TWELVE.evaluation
+    if rebuild:
+        # entries consistent with the changed primes, so only the shape checks,
+        # the order and the primality test are left to refuse it
+        matrix = [[dict(cw.factorization).get(p, 0) for cw in TWELVE.witnesses] for p in primes]
+    assert not verify_certificate(tampered_twelve(primes, matrix))
 
 
 def test_witness_for_prime_examples():

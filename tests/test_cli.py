@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from sympy import isprime
 
 from knotrank import characters, cli
 
@@ -268,6 +269,31 @@ def test_witness_rejects_composite(capsys):
     code, _, err = run_cli(capsys, "witness", "--prime", "21")
     assert code == 2
     assert "not prime" in err
+
+
+@pytest.mark.parametrize(
+    "prime",
+    [
+        # the least strong pseudoprime to the 13 bases, which is_prime accepts
+        "3317044064679887385961981",
+        # the first prime = 1 (mod 4) with 2p above that bound
+        "1658522032339943692981061",
+    ],
+)
+def test_witness_refuses_primes_beyond_the_proven_range(capsys, prime):
+    code, out, err = run_cli(capsys, "witness", "--prime", prime)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_witness_largest_admissible_prime(capsys):
+    p = 1658522032339943692980889  # the largest prime with 2p below the bound
+    code, envelope, _ = run_json(capsys, "witness", "--prime", str(p))
+    assert code == 0
+    factors = envelope["result"]["factorization"]
+    assert p in [q for q, _ in factors]
+    assert all(isprime(q) for q, _ in factors)
 
 
 def test_certificate_two_rows(capsys):

@@ -2,6 +2,7 @@
 
 import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -63,3 +64,41 @@ def test_certified_witness_round_trip(index):
 def test_certificate_round_trip(count):
     cert = build_certificate(count, 10_000)
     assert IndependenceCertificate.from_json(through_text(cert.to_json())) == cert
+
+
+def test_certificate_rejects_coerced_integers():
+    # int() used to turn 5.9 into 5, true into 1 and "5" into 5, and this
+    # dict then round-tripped into a certificate that verified
+    data = through_text(build_certificate(3, 100).to_json())
+    data["primes"][0] = 5.9
+    data["matrix"][0][0] = True
+    data["witnesses"][0]["factorization"][0] = ["5", 1.0]
+    with pytest.raises(ValueError):
+        IndependenceCertificate.from_json(data)
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("primes", 0), 5.0),
+        (("primes", 0), "5"),
+        (("matrix", 0, 0), True),
+        (("matrix", 1, 0), 0.0),
+        (("witnesses", 0, "rank"), 5.0),
+        (("witnesses", 0, "max_prime"), "5"),
+        (("witnesses", 0, "factorization", 0), ["5", 1]),
+        (("witnesses", 0, "factorization", 0), [5, True]),
+        (("witnesses", 0, "factorization", 0), [5, 1, 1]),
+        (("witnesses", 0, "factorization", 0), [5]),
+        (("witnesses", 0, "witness", "index"), True),
+        (("witnesses", 0, "witness", "stab"), False),
+    ],
+)
+def test_certificate_rejects_each_non_integer_field(path, value):
+    data = through_text(build_certificate(3, 100).to_json())
+    target = data
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    with pytest.raises(ValueError):
+        IndependenceCertificate.from_json(data)

@@ -49,6 +49,12 @@ def test_is_prime_rejects_pseudoprime_to_bases_up_to_37():
     assert is_prime(399165290221) and is_prime(798330580441)
 
 
+def test_primality_bound_is_the_least_pseudoprime_to_all_13_bases():
+    n = numtheory.PRIMALITY_BOUND
+    assert n == 1287836182261 * 2575672364521
+    assert is_prime(n)  # so answers from here on are only probable
+
+
 def test_is_prime_near_64_bit_boundary():
     assert is_prime(2**64 - 59)  # largest prime below 2^64
     assert not is_prime(2**64 - 1)

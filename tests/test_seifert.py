@@ -16,13 +16,12 @@ from knotrank.seifert import (
     _coefficient_bound,
     alexander_from_seifert,
     det_int,
-    determinant_poly,
     fiberedness,
     is_homology_product,
     pretzel_seifert_matrix,
     rank_int,
 )
-from oracles import d_det, d_trim, det_mod, fraction_rank, poly_to_dict
+from oracles import d_det, d_trim, det_mod, fraction_rank
 
 TREFOIL = SeifertMatrix.from_rows([[1, 1], [0, 1]])
 ONE_MINUS_T_PLUS_T2 = LaurentPoly(0, (1, -1, 1))
@@ -129,7 +128,7 @@ def test_rank_int_edge_cases():
     assert rank_int([[1, 0], [0, 1]]) == 2
 
 
-RANK_PRIME = 2**61 - 1  # the modulus of rank_int's modular screen
+RANK_PRIME = 2**61 - 1  # large entries: each case below loses rank modulo this prime
 
 
 @pytest.mark.parametrize(
@@ -143,7 +142,7 @@ RANK_PRIME = 2**61 - 1  # the modulus of rank_int's modular screen
     ],
 )
 def test_rank_int_full_rank_but_deficient_mod_screen_prime(rows, rank):
-    # the modular rank falls short, so the exact elimination must decide
+    # the rank over the rationals is higher than the rank modulo RANK_PRIME
     assert rank_int(rows) == rank == fraction_rank(rows)
 
 
@@ -172,62 +171,6 @@ def test_rank_int_triangular_certificate_shape():
     assert rank_int(rows) == fraction_rank(rows) == k
     rows[-1][-1] = 0
     assert rank_int(rows) == fraction_rank(rows) == k - 1
-
-
-def test_determinant_poly_base_case():
-    assert determinant_poly([[LaurentPoly(0, (1, -1))]]) == LaurentPoly(0, (1, -1))
-
-
-def test_determinant_poly_hand_2x2():
-    m = [
-        [LaurentPoly(0, (1, -1)), LaurentPoly.one()],
-        [LaurentPoly(1, (-1,)), LaurentPoly(0, (1, -1))],
-    ]
-    assert determinant_poly(m) == ONE_MINUS_T_PLUS_T2
-
-
-def test_determinant_poly_identity():
-    one = LaurentPoly.one()
-    zero = LaurentPoly()
-    eye = [[one if i == j else zero for j in range(3)] for i in range(3)]
-    assert determinant_poly(eye) == one
-
-
-def test_determinant_poly_zero_row():
-    zero = LaurentPoly()
-    assert determinant_poly([[zero, zero], [LaurentPoly.one(), zero]]) == zero
-
-
-def test_determinant_poly_rejects_non_square():
-    with pytest.raises(ValueError):
-        determinant_poly([[LaurentPoly.one()], [LaurentPoly.one()]])
-
-
-def test_determinant_poly_handles_negative_exponents():
-    # [[t^-1, 1], [1, t]] has determinant 0; [[t^-1, 0], [0, t]] has determinant 1
-    tinv = LaurentPoly(-1, (1,))
-    t = LaurentPoly(1, (1,))
-    one = LaurentPoly.one()
-    zero = LaurentPoly()
-    assert determinant_poly([[tinv, one], [one, t]]) == zero
-    assert determinant_poly([[tinv, zero], [zero, t]]) == one
-
-
-def test_determinant_poly_matches_cofactor_oracle():
-    rng = random.Random(77)
-    for _ in range(120):
-        n = rng.randrange(1, 4)
-        matrix = []
-        for _ in range(n):
-            row = []
-            for _ in range(n):
-                length = rng.randrange(0, 4)
-                row.append(
-                    LaurentPoly(rng.randint(-2, 2), [rng.randint(-3, 3) for _ in range(length)])
-                )
-            matrix.append(row)
-        expected = d_det([[poly_to_dict(e) for e in row] for row in matrix])
-        assert poly_to_dict(determinant_poly(matrix)) == expected
 
 
 def test_alexander_from_seifert_trefoil():
