@@ -93,13 +93,6 @@ def certify(w: WitnessKnot, known_prime: int = 1) -> CertifiedWitness:
     return CertifiedWitness(w, r, tuple(factors), factors[-1].prime if factors else 1)
 
 
-def _exponent_in(factorization: tuple[PrimePower, ...], p: int) -> int:
-    for q, e in factorization:
-        if q == p:
-            return e
-    return 0
-
-
 @dataclass(frozen=True)
 class IndependenceCertificate:
     """Witnesses, their strictly increasing max primes, and the evaluation matrix.
@@ -150,17 +143,29 @@ class VerificationResult:
         return self.ok
 
 
+def _evaluation_matrix(witnesses, primes) -> tuple[tuple[int, ...], ...]:
+    """Row i holds the exponent of ``primes[i]`` in the rank of each witness."""
+    exponents = [dict(cw.factorization) for cw in witnesses]
+    return tuple(tuple(e.get(p, 0) for e in exponents) for p in primes)
+
+
 def build_certificate(count: int, search_limit: int) -> IndependenceCertificate:
     """Greedy certificate over witness indices 1..search_limit.
 
     A witness is kept iff its max prime strictly exceeds the last kept
     one (rank-1 witnesses never qualify), until ``count`` are collected.
     The result is not verified here; pass it to ``verify_certificate``.
+    Every rank in the range must be below ``numtheory.PRIMALITY_BOUND``.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     if search_limit < 1:
         raise ValueError(f"search_limit must be >= 1, got {search_limit}")
+    if pretzel.hfk_top_rank(pretzel.witness(search_limit)) >= numtheory.PRIMALITY_BOUND:
+        raise ValueError(
+            f"search limit {search_limit} is too large: the rank of witness {search_limit} "
+            f"is not below {numtheory.PRIMALITY_BOUND}, where primality stops being proven"
+        )
     kept: list[CertifiedWitness] = []
     last = 1
     for index in range(1, search_limit + 1):
@@ -175,10 +180,7 @@ def build_certificate(count: int, search_limit: int) -> IndependenceCertificate:
             f"found only {len(kept)} of {count} witnesses with indices <= {search_limit}"
         )
     primes = tuple(cw.max_prime for cw in kept)
-    matrix = tuple(
-        tuple(_exponent_in(cw.factorization, p) for cw in kept) for p in primes
-    )
-    return IndependenceCertificate(tuple(kept), primes, matrix)
+    return IndependenceCertificate(tuple(kept), primes, _evaluation_matrix(kept, primes))
 
 
 def verify_certificate(cert: IndependenceCertificate) -> VerificationResult:
@@ -213,7 +215,10 @@ def verify_certificate(cert: IndependenceCertificate) -> VerificationResult:
                 return fail(f"triangularity violated at evaluation[{i}][{j}]")
         if matrix[i][i] < 1:
             return fail(f"diagonal entry evaluation[{i}][{i}] is not positive")
+    bound = numtheory.PRIMALITY_BOUND
     for i, p in enumerate(primes):
+        if p >= bound:
+            return fail(f"selected value {p} at position {i} is not below primality bound {bound}")
         if not numtheory.is_prime(p):
             return fail(f"selected value {p} at position {i} is not prime")
     for j, cw in enumerate(ws):
@@ -224,6 +229,10 @@ def verify_certificate(cert: IndependenceCertificate) -> VerificationResult:
         for p, e in cw.factorization:
             if e < 1:
                 return fail(f"witness {j}: exponent of {p} is not positive")
+            if e > cw.rank.bit_length():
+                return fail(f"witness {j}: exponent {e} of {p} exceeds the bit length of the rank")
+            if p >= bound:
+                return fail(f"witness {j}: factor {p} is not below primality bound {bound}")
             if not numtheory.is_prime(p):
                 return fail(f"witness {j}: factor {p} is not prime")
             if p <= previous:
@@ -235,10 +244,11 @@ def verify_certificate(cert: IndependenceCertificate) -> VerificationResult:
         expected_max = cw.factorization[-1].prime if cw.factorization else 1
         if cw.max_prime != expected_max:
             return fail(f"witness {j}: stored max prime {cw.max_prime} is wrong")
-    for i, p in enumerate(primes):
-        for j, cw in enumerate(ws):
-            if matrix[i][j] != _exponent_in(cw.factorization, p):
-                return fail(f"evaluation[{i}][{j}] does not match the factorizations")
+    # the factorization checks above make each witness's primes distinct
+    for i, (row, expected) in enumerate(zip(matrix, _evaluation_matrix(ws, primes))):
+        if tuple(row) != expected:
+            j = next(j for j in range(k) if row[j] != expected[j])
+            return fail(f"evaluation[{i}][{j}] does not match the factorizations")
     return VerificationResult(True)
 
 

@@ -65,59 +65,8 @@ class LaurentPoly:
     def one(cls) -> "LaurentPoly":
         return cls(0, (1,))
 
-    @classmethod
-    def term(cls, coeff: int, exponent: int) -> "LaurentPoly":
-        """The monomial ``coeff * t**exponent``."""
-        return cls(exponent, (coeff,))
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
-
-    @property
-    def highest(self) -> int:
-        """Exponent of the top term (meaningless for the zero polynomial)."""
-        return self.lowest + len(self.coeffs) - 1
-
-    def shift(self, k: int) -> "LaurentPoly":
-        """Multiply by t**k."""
-        if not self.coeffs:
-            return self
-        return LaurentPoly(self.lowest + k, self.coeffs)
-
-    # -- ring operations ------------------------------------------------
-
-    def __add__(self, other: "int | LaurentPoly") -> "LaurentPoly":
-        if isinstance(other, int):
-            other = LaurentPoly(0, (other,))
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        if not self.coeffs:
-            return other
-        if not other.coeffs:
-            return self
-        lo = min(self.lowest, other.lowest)
-        hi = max(self.highest, other.highest)
-        out = [0] * (hi - lo + 1)
-        for i, c in enumerate(self.coeffs):
-            out[self.lowest + i - lo] += c
-        for i, c in enumerate(other.coeffs):
-            out[other.lowest + i - lo] += c
-        return LaurentPoly(lo, out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.lowest, tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "int | LaurentPoly") -> "LaurentPoly":
-        if isinstance(other, int):
-            other = LaurentPoly(0, (other,))
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other: "int | LaurentPoly") -> "LaurentPoly":
-        return (-self) + other
 
     def __mul__(self, other: "int | LaurentPoly") -> "LaurentPoly":
         if isinstance(other, int):

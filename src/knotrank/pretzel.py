@@ -90,7 +90,7 @@ class WitnessKnot:
         try:
             index = data["index"]
             stab = data.get("stab", 0)
-        except TypeError as exc:
+        except (KeyError, TypeError) as exc:
             raise ValueError("witness JSON needs an 'index' field") from exc
         if any(not isinstance(v, int) or isinstance(v, bool) for v in (index, stab)):
             raise ValueError("'index' and 'stab' must be integers")

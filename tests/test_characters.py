@@ -17,6 +17,7 @@ from knotrank.characters import (
     witness_for_prime,
 )
 from knotrank.numtheory import (
+    PRIMALITY_BOUND,
     NotOneModFour,
     NotPrime,
     PrimePower,
@@ -204,6 +205,55 @@ def test_verify_rejects_recomputed_entry_mismatch():
     result = verify_certificate(tampered)
     assert not result
     assert "factoriz" in result.reason
+
+
+# index n whose rank 2n^2 - 2n + 1 has the least strong pseudoprime to the 13
+# Miller-Rabin bases (numtheory.PRIMALITY_BOUND) as its largest factor
+PSEUDOPRIME_INDEX = 780432606278265017121082
+PSEUDOPRIME_FACTORS = (5, 17, 113, 268937, 4047049, 35128789, PRIMALITY_BOUND)
+
+
+def pseudoprime_certificate(selected_prime):
+    cw = CertifiedWitness(
+        witness(PSEUDOPRIME_INDEX),
+        hfk_top_rank(witness(PSEUDOPRIME_INDEX)),
+        tuple(PrimePower(p, 1) for p in PSEUDOPRIME_FACTORS),
+        PRIMALITY_BOUND,
+    )
+    return IndependenceCertificate((cw,), (selected_prime,), ((1,),))
+
+
+def test_verify_rejects_a_selected_prime_at_the_primality_bound():
+    result = verify_certificate(pseudoprime_certificate(PRIMALITY_BOUND))
+    assert not result
+    assert result.reason == (
+        f"selected value {PRIMALITY_BOUND} at position 0 is not below "
+        f"primality bound {PRIMALITY_BOUND}"
+    )
+
+
+def test_verify_rejects_a_factor_at_the_primality_bound():
+    result = verify_certificate(pseudoprime_certificate(5))
+    assert not result
+    assert result.reason == (
+        f"witness 0: factor {PRIMALITY_BOUND} is not below primality bound {PRIMALITY_BOUND}"
+    )
+
+
+def test_verify_rejects_a_huge_exponent_before_raising_to_it():
+    cert = verified_certificate(1, 10)
+    cw = cert.witnesses[0]
+    assert cw.factorization == (PrimePower(5, 1),)
+    tampered = IndependenceCertificate(
+        (CertifiedWitness(cw.witness, cw.rank, (PrimePower(5, 10**7),), 5),),
+        cert.selected_primes,
+        cert.evaluation,
+    )
+    start = time.perf_counter()
+    result = verify_certificate(tampered)
+    assert time.perf_counter() - start < 1.0
+    assert not result
+    assert result.reason == "witness 0: exponent 10000000 of 5 exceeds the bit length of the rank"
 
 
 TWELVE = build_certificate(12, 10_000)

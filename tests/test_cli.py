@@ -313,6 +313,22 @@ def test_certificate_single_row(capsys):
     assert len(matrix) == 1 and len(matrix[0]) == 1 and matrix[0][0] >= 1
 
 
+def test_certificate_refuses_a_search_limit_beyond_the_proven_range(capsys):
+    # the smallest L with 2L^2 - 2L + 1 at or above numtheory.PRIMALITY_BOUND
+    code, out, err = run_cli(capsys, "certificate", "--search-limit", "1287836182262")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: search limit 1287836182262 ")
+
+
+def test_certificate_largest_admissible_search_limit(capsys):
+    code, envelope, _ = run_json(
+        capsys, "certificate", "--count", "1", "--search-limit", "1287836182261"
+    )
+    assert code == 0
+    assert envelope["result"]["primes"] == [5]
+
+
 def test_certificate_exhaustion_exit_code(capsys):
     code, _, err = run_cli(capsys, "certificate", "--count", "100000", "--search-limit", "10")
     assert code == 3

