@@ -144,9 +144,20 @@ class VerificationResult:
 
 
 def _evaluation_matrix(witnesses, primes) -> tuple[tuple[int, ...], ...]:
-    """Row i holds the exponent of ``primes[i]`` in the rank of each witness."""
-    exponents = [dict(cw.factorization) for cw in witnesses]
-    return tuple(tuple(e.get(p, 0) for e in exponents) for p in primes)
+    """Row i holds the exponent of ``primes[i]`` in the rank of each witness.
+
+    ``primes`` must be distinct.  Each prime is mapped to its row, the
+    rows start at zero, and each witness's factorization fills in its
+    column, so the Python work is one step per factor, not per entry.
+    """
+    row_of = {p: i for i, p in enumerate(primes)}
+    rows = [[0] * len(witnesses) for _ in primes]
+    for j, cw in enumerate(witnesses):
+        for p, e in cw.factorization:
+            i = row_of.get(p)
+            if i is not None:
+                rows[i][j] = e
+    return tuple(map(tuple, rows))
 
 
 def build_certificate(count: int, search_limit: int) -> IndependenceCertificate:
@@ -244,7 +255,7 @@ def verify_certificate(cert: IndependenceCertificate) -> VerificationResult:
         expected_max = cw.factorization[-1].prime if cw.factorization else 1
         if cw.max_prime != expected_max:
             return fail(f"witness {j}: stored max prime {cw.max_prime} is wrong")
-    # the factorization checks above make each witness's primes distinct
+    # the checks above make the selected primes, and each witness's factors, distinct
     for i, (row, expected) in enumerate(zip(matrix, _evaluation_matrix(ws, primes))):
         if tuple(row) != expected:
             j = next(j for j in range(k) if row[j] != expected[j])

@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
 from . import characters, numtheory, pretzel, seifert
@@ -24,6 +26,37 @@ class InputError(ValueError):
     """Malformed command input; maps to exit code 2."""
 
 
+def _canonical_json(value, pad: str = "\n") -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)``, byte for byte.
+
+    Dictionary keys must be strings, as every envelope's are.  With an
+    indent, ``json.dumps`` encodes in a pure-Python loop, one value at a
+    time; here a list whose entries are all exactly ``int`` (a matrix
+    row, a factorization pair) is joined in a single ``str.join``.
+    """
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = pad + "  "
+        body = ("," + inner).join(
+            encode_basestring_ascii(k) + ": " + _canonical_json(v, inner)
+            for k, v in sorted(value.items())
+        )
+        return "{" + inner + body + pad + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        if {*map(type, value)} == {int}:
+            body = ("," + inner).join(map(str, value))
+        else:
+            body = ("," + inner).join(_canonical_json(v, inner) for v in value)
+        return "[" + inner + body + pad + "]"
+    if type(value) is str:
+        return encode_basestring_ascii(value)
+    return json.dumps(value)
+
+
 def _emit(args, command: str, result: dict, text_lines: list[str]) -> None:
     if args.json:
         envelope = {
@@ -31,7 +64,7 @@ def _emit(args, command: str, result: dict, text_lines: list[str]) -> None:
             "command": command,
             "result": result,
         }
-        print(json.dumps(envelope, sort_keys=True, indent=2))
+        print(_canonical_json(envelope))
     else:
         for line in text_lines:
             print(line)
@@ -136,17 +169,21 @@ def cmd_certificate(args) -> int:
         raise InputError(f"--search-limit must be >= 1, got {args.search_limit}")
     cert = characters.build_certificate(args.count, args.search_limit)
     check = characters.verify_certificate(cert)
+    csv = cert.to_csv() if args.csv or not args.json else ""
     if args.csv:
         try:
             with open(args.csv, "w", encoding="utf-8") as fh:
-                fh.write(cert.to_csv())
+                fh.write(csv)
         except OSError as exc:
             raise InputError(f"cannot write {args.csv}: {exc}") from None
-    result = cert.to_json()
-    result["verified"] = bool(check)
-    text = cert.to_csv().rstrip("\n").split("\n")
-    text.append(f"verified: {'true' if check else 'false'}")
-    _emit(args, "certificate", result, text)
+    if args.json:
+        result = cert.to_json()
+        result["verified"] = bool(check)
+        _emit(args, "certificate", result, [])
+    else:
+        text = csv.rstrip("\n").split("\n")
+        text.append(f"verified: {'true' if check else 'false'}")
+        _emit(args, "certificate", {}, text)
     if not check:
         print(f"error: {check.reason}", file=sys.stderr)
         return 1
@@ -350,6 +387,17 @@ def _absorb_negative_values(argv: list[str]) -> list[str]:
     return out
 
 
+def _discard_stdout() -> None:
+    """Point standard output at devnull, so the interpreter's last flush cannot fail again."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return  # not backed by a file descriptor, so no flush at exit can fail
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     raw = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
@@ -358,7 +406,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except OSError as exc:
+        # commands turn every other OSError into an InputError, so this
+        # one is a write to a closed or full standard output
+        _discard_stdout()
+        print(f"error: cannot write to standard output: {exc}", file=sys.stderr)
+        return 2
     except NotUnitAtOne as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -31,13 +31,34 @@ class PrimePower(NamedTuple):
 # fooled by 318665857834031151167461.
 PRIMALITY_BOUND = 3317044064679887385961981
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# _MR_BOUNDS[k - 1] is the least strong pseudoprime to the first k bases
+# (OEIS A014233; Jaeschke 1993, Sorenson and Webster 2017), so below it
+# those k bases alone decide primality.
+_MR_BOUNDS = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    341550071728321,
+    3825123056546413051,
+    3825123056546413051,
+    3825123056546413051,
+    318665857834031151167461,
+    PRIMALITY_BOUND,
+)
 
 
 def is_prime(x: int) -> bool:
     """Miller-Rabin primality, deterministic below ``PRIMALITY_BOUND``.
 
-    That range covers every 64-bit integer; from ``PRIMALITY_BOUND`` on
-    a True answer is probable, not proven.
+    Bases are tried in order, and x is proven prime as soon as it has
+    passed the first k bases and lies below the least strong pseudoprime
+    to them; every 64-bit integer needs at most 12 bases.  From
+    ``PRIMALITY_BOUND`` on all 13 bases are tried, and a True answer is
+    probable, not proven.
     """
     if x < 2:
         return False
@@ -49,16 +70,17 @@ def is_prime(x: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_WITNESSES:
+    for a, bound in zip(_MR_WITNESSES, _MR_BOUNDS):
         v = pow(a, d, x)
-        if v == 1 or v == x - 1:
-            continue
-        for _ in range(s - 1):
-            v = v * v % x
-            if v == x - 1:
-                break
-        else:
-            return False
+        if v != 1 and v != x - 1:
+            for _ in range(s - 1):
+                v = v * v % x
+                if v == x - 1:
+                    break
+            else:
+                return False
+        if x < bound:
+            return True
     return True
 
 

@@ -2,8 +2,8 @@
 
 Everything here deliberately avoids the package's own code paths:
 polynomials are dicts mapping exponent to coefficient, determinants are
-cofactor expansions, primality is trial division, and matrix rank uses
-plain Gaussian elimination over fractions.
+cofactor expansions, primality is trial division or a textbook strong
+test, and matrix rank uses plain Gaussian elimination over fractions.
 """
 
 from fractions import Fraction
@@ -65,6 +65,35 @@ def trial_division_is_prime(n):
         if n % d == 0:
             return False
     return True
+
+
+def strong_probable_prime(n, a):
+    """Textbook strong test of an odd n > 2 to the base a (Miller 1976, Rabin 1980)."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def strong_pseudoprime_to_first_bases(n, k):
+    """True iff n is composite and a strong probable prime to each of the first k primes.
+
+    A prime passes every base, so one base among the primes below 200
+    that rejects n proves n composite.
+    """
+    if n < 3 or n % 2 == 0:
+        return False
+    bases = simple_sieve(200)
+    if not all(strong_probable_prime(n, a) for a in bases[:k]):
+        return False
+    return any(not strong_probable_prime(n, a) for a in bases[k:])
 
 
 def simple_sieve(limit):

@@ -207,6 +207,19 @@ def test_verify_rejects_recomputed_entry_mismatch():
     assert "factoriz" in result.reason
 
 
+def test_verify_accepts_an_entry_above_the_diagonal_and_an_exponent_of_two():
+    # greedy certificates up to count 200 have neither; rank 25 = 5^2, rank 85 = 5 * 17
+    witnesses = (certify(witness(4)), certify(witness(7)))
+    assert [cw.rank for cw in witnesses] == [25, 85]
+    cert = IndependenceCertificate(witnesses, (5, 17), ((2, 1), (0, 1)))
+    assert verify_certificate(cert)
+    for entry in (0, 2, 3):
+        tampered = IndependenceCertificate(witnesses, (5, 17), ((2, entry), (0, 1)))
+        result = verify_certificate(tampered)
+        assert not result
+        assert result.reason == "evaluation[0][1] does not match the factorizations"
+
+
 # index n whose rank 2n^2 - 2n + 1 has the least strong pseudoprime to the 13
 # Miller-Rabin bases (numtheory.PRIMALITY_BOUND) as its largest factor
 PSEUDOPRIME_INDEX = 780432606278265017121082

@@ -9,7 +9,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from sympy import isprime
 
@@ -31,6 +31,33 @@ def run_json(capsys, *argv):
     assert json.dumps(envelope, sort_keys=True, indent=2) == out.strip()
     assert envelope["schema_version"] == "1"
     return code, envelope, err
+
+
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-(2**200), 2**200)
+    | st.floats()
+    | st.text(),
+    lambda children: st.lists(children)
+    | st.lists(children).map(tuple)
+    | st.lists(st.integers(-(2**100), 2**100) | st.booleans())
+    | st.dictionaries(st.text(), children),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(json_values)
+@example({})
+@example([[], {}, [[]]])
+@example({"b": [1, True, 2**64 + 1], "a": {"é\n\"": [False, 0]}})
+@example((2**64, -(2**65), 0))
+@example("\u2603\x00\ud800")
+@example(float("nan"))
+def test_canonical_json_matches_json_dumps(value):
+    assert cli._canonical_json(value) == json.dumps(value, sort_keys=True, indent=2)
 
 
 def write_matrix(tmp_path, rows, name="matrix.json", size=None):
@@ -426,17 +453,59 @@ def test_unknown_command_exits_two(capsys):
     assert code == 2
 
 
-def run_module(*argv, timeout):
+def module_env():
     env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
     env.pop("PYTHONINTMAXSTRDIGITS", None)  # keep CPython's default 4300-digit limit
+    env.pop("PYTHONUNBUFFERED", None)  # buffer stdout, so output can still wait for the exit flush
+    return env
+
+
+def run_module(*argv, timeout):
     return subprocess.run(
         [sys.executable, "-m", "knotrank", *argv],
         capture_output=True,
         text=True,
-        env=env,
+        env=module_env(),
         cwd=REPO_ROOT,
         timeout=timeout,
     )
+
+
+def test_closed_stdout_exits_two_with_one_error_line():
+    # the JSON of 300 rows is far larger than a pipe buffer, so writes go on
+    # after the reader has gone
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "knotrank", "certificate", "--count", "300", "--json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=module_env(),
+        cwd=REPO_ROOT,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2
+    assert first == b"{\n"
+    assert err.startswith("error: cannot write to standard output: ")
+    assert len(err.splitlines()) == 1 and "Broken pipe" in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_stdout_exits_two_with_one_error_line():
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "knotrank", "witness", "--prime", "13", "--json"],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=module_env(),
+            cwd=REPO_ROOT,
+            timeout=60,
+        )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: cannot write to standard output: ")
+    assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
 
 
 def test_rank_large_stabilization_within_budget():

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sympy import isprime
+from sympy import isprime, nextprime
 
 from knotrank import numtheory
 from knotrank.numtheory import (
@@ -17,7 +17,12 @@ from knotrank.numtheory import (
     sqrt_minus_one,
     witness_index,
 )
-from oracles import scan_sqrt_minus_one, simple_sieve, trial_division_is_prime
+from oracles import (
+    scan_sqrt_minus_one,
+    simple_sieve,
+    strong_pseudoprime_to_first_bases,
+    trial_division_is_prime,
+)
 
 
 def test_is_prime_small_values():
@@ -53,6 +58,50 @@ def test_primality_bound_is_the_least_pseudoprime_to_all_13_bases():
     n = numtheory.PRIMALITY_BOUND
     assert n == 1287836182261 * 2575672364521
     assert is_prime(n)  # so answers from here on are only probable
+
+
+# OEIS A014233: the least strong pseudoprime to the first k prime bases, k = 1..13
+A014233 = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    341550071728321,
+    3825123056546413051,
+    3825123056546413051,
+    3825123056546413051,
+    318665857834031151167461,
+    3317044064679887385961981,
+)
+
+
+def test_tier_bounds_are_the_least_strong_pseudoprimes():
+    assert numtheory._MR_BOUNDS == A014233
+    assert numtheory._MR_BOUNDS[-1] == numtheory.PRIMALITY_BOUND
+    for k, psi in enumerate(A014233, start=1):
+        assert strong_pseudoprime_to_first_bases(psi, k), k
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_is_prime_rejects_every_tier_bound(k):
+    # psi_k passes the first k bases, so the tier that stops after them
+    # must not cover it
+    assert not is_prime(A014233[k - 1])
+
+
+TIER_BANDS = sorted({(lo, hi) for lo, hi in zip((2, *A014233), A014233) if lo < hi})
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from(TIER_BANDS).flatmap(lambda band: st.integers(band[0], band[1] - 1)))
+def test_is_prime_agrees_with_sympy_in_every_tier(n):
+    assert is_prime(n) == isprime(n)
+    q = nextprime(n)
+    assert is_prime(q)
+    assert not is_prime(q * nextprime(q))  # no factor that trial division finds
 
 
 def test_is_prime_near_64_bit_boundary():
