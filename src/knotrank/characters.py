@@ -9,10 +9,10 @@ those characters triangular with nonzero diagonal, hence of full rank.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from . import numtheory, pretzel
+from ._frozen import Frozen
 from .numtheory import NotPrime, PrimePower
 from .pretzel import WitnessKnot
 
@@ -40,14 +40,26 @@ def _json_int(value: object, what: str) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class CertifiedWitness:
+class CertifiedWitness(Frozen):
     """A witness with its rank, full factorization, and largest rank prime."""
 
+    __slots__ = ("witness", "rank", "factorization", "max_prime")
     witness: WitnessKnot
     rank: int
     factorization: tuple[PrimePower, ...]
     max_prime: int
+
+    def __init__(
+        self,
+        witness: WitnessKnot,
+        rank: int,
+        factorization: tuple[PrimePower, ...],
+        max_prime: int,
+    ) -> None:
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "factorization", factorization)
+        object.__setattr__(self, "max_prime", max_prime)
 
     def to_json(self) -> dict:
         return {
@@ -93,8 +105,7 @@ def certify(w: WitnessKnot, known_prime: int = 1) -> CertifiedWitness:
     return CertifiedWitness(w, r, tuple(factors), factors[-1].prime if factors else 1)
 
 
-@dataclass(frozen=True)
-class IndependenceCertificate:
+class IndependenceCertificate(Frozen):
     """Witnesses, their strictly increasing max primes, and the evaluation matrix.
 
     ``evaluation[i][j]`` is the exponent of ``selected_primes[i]`` in the
@@ -102,9 +113,20 @@ class IndependenceCertificate:
     ``verify_certificate`` is the trust boundary.
     """
 
+    __slots__ = ("witnesses", "selected_primes", "evaluation")
     witnesses: tuple[CertifiedWitness, ...]
     selected_primes: tuple[int, ...]
     evaluation: tuple[tuple[int, ...], ...]
+
+    def __init__(
+        self,
+        witnesses: tuple[CertifiedWitness, ...],
+        selected_primes: tuple[int, ...],
+        evaluation: tuple[tuple[int, ...], ...],
+    ) -> None:
+        object.__setattr__(self, "witnesses", witnesses)
+        object.__setattr__(self, "selected_primes", selected_primes)
+        object.__setattr__(self, "evaluation", evaluation)
 
     def to_json(self) -> dict:
         return {
@@ -134,10 +156,16 @@ class IndependenceCertificate:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class VerificationResult:
+class VerificationResult(Frozen):
+    """Whether a certificate passed ``verify_certificate``, and if not, why."""
+
+    __slots__ = ("ok", "reason")
     ok: bool
-    reason: Optional[str] = None
+    reason: Optional[str]
+
+    def __init__(self, ok: bool, reason: Optional[str] = None) -> None:
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "reason", reason)
 
     def __bool__(self) -> bool:
         return self.ok

@@ -311,8 +311,23 @@ def cmd_selftest(args) -> int:
 # -- parser ----------------------------------------------------------------
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """A parser whose failed writes to standard output raise.
+
+    ``argparse`` drops the ``OSError`` of every message it prints, so
+    ``--help`` into a full or closed standard output would print nothing
+    and still exit 0.  Messages to standard error are dropped as before.
+    """
+
+    def _print_message(self, message, file=None):
+        if message and file is sys.stdout:
+            file.write(message)
+        else:
+            super()._print_message(message, file)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="knotrank",
         description="Exact Alexander polynomials of pretzel knots, homological "
         "fiberedness tests, witness ranks, and independence certificates.",
@@ -402,11 +417,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     raw = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        args = parser.parse_args(_absorb_negative_values(raw))
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
-        code = args.func(args)
+        try:
+            args = parser.parse_args(_absorb_negative_values(raw))
+        except SystemExit as exc:  # argparse printed the help or a usage error
+            code = exc.code if isinstance(exc.code, int) else 2
+        else:
+            code = args.func(args)
         sys.stdout.flush()
         return code
     except OSError as exc:

@@ -8,11 +8,12 @@ are immutable and every operation returns a new polynomial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Sequence, Union
+from typing import TYPE_CHECKING, Sequence
 
-Rational = Union[int, Fraction]
+from ._frozen import Frozen
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class ZeroPolynomial(ValueError):
@@ -27,8 +28,7 @@ class PoleAtZero(ValueError):
     """Evaluation at t = 0 hit a negative exponent."""
 
 
-@dataclass(frozen=True, init=False)
-class LaurentPoly:
+class LaurentPoly(Frozen):
     """An integer Laurent polynomial in one variable t.
 
     ``coeffs[i]`` is the coefficient of ``t**(lowest + i)``.  The zero
@@ -41,6 +41,7 @@ class LaurentPoly:
     True
     """
 
+    __slots__ = ("lowest", "coeffs")
     lowest: int
     coeffs: tuple[int, ...]
 
@@ -123,7 +124,7 @@ class LaurentPoly:
             raise ZeroPolynomial("the zero polynomial has no degree span")
         return len(self.coeffs) - 1
 
-    def eval_at(self, x: Rational) -> Rational:
+    def eval_at(self, x: int | Fraction) -> int | Fraction:
         """Exact evaluation at a rational point.
 
         Evaluation at 0 is only defined when no negative exponent is
@@ -136,14 +137,14 @@ class LaurentPoly:
             if not self.coeffs:
                 return 0
             return self.coeffs[0] if self.lowest == 0 else 0
-        acc: Rational = 0
+        acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
-        if self.lowest:
-            if self.lowest > 0 and not isinstance(x, Fraction):
-                acc = acc * x**self.lowest
-            else:
-                acc = acc * Fraction(x) ** self.lowest
+        if self.lowest >= 0 and isinstance(x, int):
+            return acc * x**self.lowest
+        from fractions import Fraction  # imported here to keep it out of start-up
+
+        acc = acc * Fraction(x) ** self.lowest
         if isinstance(acc, Fraction) and acc.denominator == 1:
             return int(acc)
         return acc

@@ -7,8 +7,7 @@ trefoil connected sums.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._frozen import Frozen
 from .laurent import LaurentPoly
 
 
@@ -23,13 +22,18 @@ class AlreadyStabilized(ValueError):
 TREFOIL_ALEXANDER = LaurentPoly(0, (1, -1, 1))
 
 
-@dataclass(frozen=True)
-class PretzelKnot:
+class PretzelKnot(Frozen):
     """The pretzel knot P(2l+1, 2m+1, 2n+1), stored by its (l, m, n) parameters."""
 
+    __slots__ = ("l", "m", "n")
     l: int
     m: int
     n: int
+
+    def __init__(self, l: int, m: int, n: int) -> None:
+        object.__setattr__(self, "l", l)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
 
     @property
     def strands(self) -> tuple[int, int, int]:
@@ -51,22 +55,24 @@ def alexander_closed_form(knot: PretzelKnot) -> LaurentPoly:
     return LaurentPoly(0, (c, 1 - 2 * c, c)).normalize()
 
 
-@dataclass(frozen=True)
-class WitnessKnot:
+class WitnessKnot(Frozen):
     """The index-n witness pretzel knot P(-2n+1, 2n+1, 2n^2+1), possibly stabilized.
 
     ``stab_count`` trefoil summands raise the genus to ``stab_count + 1``
     without changing the top knot-Floer rank.
     """
 
+    __slots__ = ("index", "stab_count")
     index: int
-    stab_count: int = 0
+    stab_count: int
 
-    def __post_init__(self) -> None:
-        if self.index < 1:
-            raise ValueError(f"witness index must be >= 1, got {self.index}")
-        if self.stab_count < 0:
-            raise ValueError(f"stab_count must be >= 0, got {self.stab_count}")
+    def __init__(self, index: int, stab_count: int = 0) -> None:
+        if index < 1:
+            raise ValueError(f"witness index must be >= 1, got {index}")
+        if stab_count < 0:
+            raise ValueError(f"stab_count must be >= 0, got {stab_count}")
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "stab_count", stab_count)
 
     @property
     def base(self) -> PretzelKnot:

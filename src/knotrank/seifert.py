@@ -13,30 +13,31 @@ symmetric residues, which are the exact coefficients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
 from typing import Sequence
 
+from ._frozen import Frozen
 from .laurent import LaurentPoly, NotUnitAtOne
 from .numtheory import is_prime
 
 
-@dataclass(frozen=True)
-class SeifertMatrix:
+class SeifertMatrix(Frozen):
     """Square integer matrix of even size 2g attached to a genus-g surface."""
 
+    __slots__ = ("entries",)
     entries: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        n = len(self.entries)
+    def __init__(self, entries: tuple[tuple[int, ...], ...]) -> None:
+        n = len(entries)
         if n == 0 or n % 2 != 0:
             raise ValueError(f"Seifert matrix size must be even and >= 2, got {n}")
-        for row in self.entries:
+        for row in entries:
             if len(row) != n:
                 raise ValueError("Seifert matrix must be square")
             for v in row:
                 if not isinstance(v, int) or isinstance(v, bool):
                     raise ValueError("Seifert matrix entries must be integers")
+        object.__setattr__(self, "entries", entries)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "SeifertMatrix":

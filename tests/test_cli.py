@@ -508,6 +508,43 @@ def test_full_stdout_exits_two_with_one_error_line():
     assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
 
 
+def run_into_full_stdout(*argv, unbuffered=False):
+    env = module_env()
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "w") as full:
+        return subprocess.run(
+            [sys.executable, "-m", "knotrank", *argv],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            cwd=REPO_ROOT,
+            timeout=60,
+        )
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [["--help"], ["witness", "--help"]], ids=" ".join)
+def test_full_stdout_help_exits_two_with_one_error_line(argv, unbuffered):
+    # buffered, the help text waited for a flush that main never made (exit
+    # 120); unbuffered, argparse dropped the failed write (exit 0)
+    proc = run_into_full_stdout(*argv, unbuffered=unbuffered)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: cannot write to standard output: ")
+    assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_stdout_keeps_the_usage_error():
+    proc = run_into_full_stdout("witness", "--prime", "x")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("usage: knotrank witness")
+    assert "error: argument --prime: invalid int value: 'x'" in proc.stderr
+    assert "standard output" not in proc.stderr
+
+
 def test_rank_large_stabilization_within_budget():
     # (1 - t + t^2)^3000 by dense repeated squaring ran past 20 s
     start = time.perf_counter()

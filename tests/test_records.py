@@ -1,0 +1,163 @@
+"""Value semantics shared by knotrank's seven record classes.
+
+Each record is an immutable value: its fields are fixed at construction,
+two records are equal exactly when they have the same class and equal
+fields, equal records hash alike, and pickle and copy rebuild an equal
+record.
+"""
+
+import copy
+import pickle
+
+import pytest
+
+from knotrank import (
+    CertifiedWitness,
+    IndependenceCertificate,
+    LaurentPoly,
+    PretzelKnot,
+    SeifertMatrix,
+    VerificationResult,
+    WitnessKnot,
+    certify,
+    witness,
+)
+from knotrank.numtheory import PrimePower
+
+CW = certify(witness(2))
+
+# (record, its fields in declaration order, its exact repr)
+RECORDS = [
+    (LaurentPoly(-1, (1, 0, 2)), ("lowest", "coeffs"), "LaurentPoly(lowest=-1, coeffs=(1, 0, 2))"),
+    (PretzelKnot(1, 2, 3), ("l", "m", "n"), "PretzelKnot(l=1, m=2, n=3)"),
+    (WitnessKnot(2), ("index", "stab_count"), "WitnessKnot(index=2, stab_count=0)"),
+    (
+        SeifertMatrix(((1, 0), (1, 1))),
+        ("entries",),
+        "SeifertMatrix(entries=((1, 0), (1, 1)))",
+    ),
+    (
+        CW,
+        ("witness", "rank", "factorization", "max_prime"),
+        "CertifiedWitness(witness=WitnessKnot(index=2, stab_count=0), rank=5, "
+        "factorization=(PrimePower(prime=5, exponent=1),), max_prime=5)",
+    ),
+    (
+        IndependenceCertificate((CW,), (5,), ((1,),)),
+        ("witnesses", "selected_primes", "evaluation"),
+        "IndependenceCertificate(witnesses=(CertifiedWitness(witness=WitnessKnot(index=2, "
+        "stab_count=0), rank=5, factorization=(PrimePower(prime=5, exponent=1),), "
+        "max_prime=5),), selected_primes=(5,), evaluation=((1,),))",
+    ),
+    (VerificationResult(False, "x"), ("ok", "reason"), "VerificationResult(ok=False, reason='x')"),
+]
+IDS = [type(record).__name__ for record, _, _ in RECORDS]
+
+
+def values(record, fields):
+    return tuple(getattr(record, name) for name in fields)
+
+
+@pytest.mark.parametrize("record, fields, text", RECORDS, ids=IDS)
+def test_repr_is_exact(record, fields, text):
+    assert repr(record) == text
+
+
+@pytest.mark.parametrize("record, fields, text", RECORDS, ids=IDS)
+def test_equal_fields_make_equal_records_with_equal_hashes(record, fields, text):
+    twin = type(record)(*values(record, fields))
+    assert twin is not record
+    assert twin == record and not twin != record
+    assert hash(twin) == hash(record) == hash(values(record, fields))
+    assert len({record, twin}) == 1
+
+
+@pytest.mark.parametrize("record, fields, text", RECORDS, ids=IDS)
+def test_records_of_another_class_are_never_equal(record, fields, text):
+    subclass = type("Twin", (type(record),), {})
+    other = subclass(*values(record, fields))
+    assert record != other and other != record
+    assert record != values(record, fields)
+    assert record != None  # noqa: E711  (the operator is what is tested)
+
+
+@pytest.mark.parametrize("record, fields, text", RECORDS, ids=IDS)
+def test_fields_can_be_neither_assigned_nor_deleted(record, fields, text):
+    for name in fields:
+        before = getattr(record, name)
+        with pytest.raises(AttributeError):
+            setattr(record, name, before)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+        assert getattr(record, name) is before
+    with pytest.raises(AttributeError):
+        record.extra = 1
+
+
+@pytest.mark.parametrize("record, fields, text", RECORDS, ids=IDS)
+def test_pickle_and_copy_round_trip(record, fields, text):
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(record, protocol))
+        assert type(back) is type(record) and back == record
+    for clone in (copy.copy(record), copy.deepcopy(record)):
+        assert type(clone) is type(record) and clone == record
+        assert hash(clone) == hash(record)
+
+
+def test_keyword_construction():
+    assert PretzelKnot(l=1, m=2, n=3) == PretzelKnot(1, 2, 3)
+    assert LaurentPoly(lowest=2, coeffs=(0, 3)) == LaurentPoly(3, (3,))
+    assert WitnessKnot(index=3, stab_count=1) == WitnessKnot(3, 1)
+    assert SeifertMatrix(entries=((0, 1), (0, 0))).genus == 1
+    assert VerificationResult(ok=True) == VerificationResult(True, None)
+    cw = CertifiedWitness(
+        witness=CW.witness, rank=5, factorization=(PrimePower(5, 1),), max_prime=5
+    )
+    assert cw == CW
+    cert = IndependenceCertificate(witnesses=(CW,), selected_primes=(5,), evaluation=((1,),))
+    assert cert == IndependenceCertificate((CW,), (5,), ((1,),))
+
+
+def test_defaults():
+    assert WitnessKnot(4).stab_count == 0
+    assert VerificationResult(True).reason is None
+    assert LaurentPoly() == LaurentPoly(0, ())
+
+
+def test_laurent_construction_is_canonical_after_a_round_trip():
+    p = LaurentPoly(2, [0, 0, 7, 0])
+    assert (p.lowest, p.coeffs) == (4, (7,))
+    assert type(p.coeffs) is tuple
+    assert pickle.loads(pickle.dumps(p)).coeffs == (7,)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((0,), "witness index must be >= 1, got 0"),
+        ((-3,), "witness index must be >= 1, got -3"),
+        ((1, -1), "stab_count must be >= 0, got -1"),
+    ],
+)
+def test_witness_knot_rejects_bad_fields(args, message):
+    with pytest.raises(ValueError) as info:
+        WitnessKnot(*args)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        ((), "Seifert matrix size must be even and >= 2, got 0"),
+        (((1, 0, 0), (0, 1, 0), (0, 0, 1)), "Seifert matrix size must be even and >= 2, got 3"),
+        (((1, 0), (1,)), "Seifert matrix must be square"),
+        (((1, 0), (0, 1, 2)), "Seifert matrix must be square"),
+        (((1, 0), (0, 1.0)), "Seifert matrix entries must be integers"),
+        (((1, 0), (0, True)), "Seifert matrix entries must be integers"),
+        (((1, "0"), (0, 1)), "Seifert matrix entries must be integers"),
+    ],
+)
+def test_seifert_matrix_rejects_bad_entries(entries, message):
+    with pytest.raises(ValueError) as info:
+        SeifertMatrix(entries)
+    assert str(info.value) == message
