@@ -7,10 +7,10 @@ Exit codes: 0 success, 1 domain failure, 2 usage or input error,
 from __future__ import annotations
 
 import argparse
-import json
+import functools
+import math
 import os
 import sys
-from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
 from . import characters, numtheory, pretzel, seifert
@@ -26,35 +26,43 @@ class InputError(ValueError):
     """Malformed command input; maps to exit code 2."""
 
 
-def _canonical_json(value, pad: str = "\n") -> str:
+def _canonical_json(value) -> str:
     """``json.dumps(value, sort_keys=True, indent=2)``, byte for byte.
 
     Dictionary keys must be strings, as every envelope's are.  With an
     indent, ``json.dumps`` encodes in a pure-Python loop, one value at a
     time; here a list whose entries are all exactly ``int`` (a matrix
     row, a factorization pair) is joined in a single ``str.join``.
+    ``json`` is imported here, not with the module, because text output
+    never needs it.
     """
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        inner = pad + "  "
-        body = ("," + inner).join(
-            encode_basestring_ascii(k) + ": " + _canonical_json(v, inner)
-            for k, v in sorted(value.items())
-        )
-        return "{" + inner + body + pad + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        inner = pad + "  "
-        if {*map(type, value)} == {int}:
-            body = ("," + inner).join(map(str, value))
-        else:
-            body = ("," + inner).join(_canonical_json(v, inner) for v in value)
-        return "[" + inner + body + pad + "]"
-    if type(value) is str:
-        return encode_basestring_ascii(value)
-    return json.dumps(value)
+    import json
+    from json.encoder import encode_basestring_ascii
+
+    def encode(value, pad: str) -> str:
+        if isinstance(value, dict):
+            if not value:
+                return "{}"
+            inner = pad + "  "
+            body = ("," + inner).join(
+                encode_basestring_ascii(k) + ": " + encode(v, inner)
+                for k, v in sorted(value.items())
+            )
+            return "{" + inner + body + pad + "}"
+        if isinstance(value, (list, tuple)):
+            if not value:
+                return "[]"
+            inner = pad + "  "
+            if {*map(type, value)} == {int}:
+                body = ("," + inner).join(map(str, value))
+            else:
+                body = ("," + inner).join(encode(v, inner) for v in value)
+            return "[" + inner + body + pad + "]"
+        if type(value) is str:
+            return encode_basestring_ascii(value)
+        return json.dumps(value)
+
+    return encode(value, "\n")
 
 
 def _emit(args, command: str, result: dict, text_lines: list[str]) -> None:
@@ -87,6 +95,8 @@ def _parse_pretzel(text: str) -> PretzelKnot:
 
 
 def _load_seifert(path: str) -> SeifertMatrix:
+    import json
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -185,8 +195,7 @@ def cmd_certificate(args) -> int:
         text.append(f"verified: {'true' if check else 'false'}")
         _emit(args, "certificate", {}, text)
     if not check:
-        print(f"error: {check.reason}", file=sys.stderr)
-        return 1
+        return _report(check.reason, 1)
     return 0
 
 
@@ -195,6 +204,18 @@ def cmd_rank(args) -> int:
         raise InputError(f"--index must be >= 1, got {args.index}")
     if args.stab < 0:
         raise InputError(f"--stab must be >= 0, got {args.stab}")
+    # The coefficients of (1 - t + t^2)^K are, up to sign, those of
+    # (1 + t + t^2)^K: 2K + 1 of them, summing to 3^K in absolute value.
+    # So the largest is at least 3^K / (2K + 1), and once that bound has
+    # more digits than Python converts to text (one digit to spare for
+    # the rounding of the logarithms), printing the polynomial must fail.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # no limit before 3.10.7
+    if limit and args.stab > (limit + 1 + math.log10(2 * args.stab + 1)) / math.log10(3):
+        raise InputError(
+            f"--stab {args.stab} is too large: the Alexander polynomial would have "
+            f"coefficients of more than {limit} digits, the limit for integer "
+            "string conversion (PYTHONINTMAXSTRDIGITS raises it)"
+        )
     w = pretzel.witness(args.index)
     if args.stab:
         w = pretzel.stabilize(w, args.stab)
@@ -316,17 +337,33 @@ class _ArgumentParser(argparse.ArgumentParser):
 
     ``argparse`` drops the ``OSError`` of every message it prints, so
     ``--help`` into a full or closed standard output would print nothing
-    and still exit 0.  Messages to standard error are dropped as before.
+    and still exit 0.  Messages to standard error go through
+    ``_write_stderr``, which keeps the exit code when they are lost.
     """
 
     def _print_message(self, message, file=None):
         if message and file is sys.stdout:
             file.write(message)
+        elif message and file is sys.stderr:
+            _write_stderr(message)
         else:
             super()._print_message(message, file)
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The ``knotrank`` parser, built on the first call in a process and shared after it.
+
+    Reusing it is safe because ``argparse`` keeps nothing from one parse
+    to the next: each parse returns a fresh namespace, and the help width
+    and ``sys.stdout`` are read when a message is printed.  This plain
+    function stays in front of the cache so that a tracer wrapping the
+    module's functions still sees every call.
+    """
+    return _cached_parser()
+
+
+@functools.cache
+def _cached_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="knotrank",
         description="Exact Alexander polynomials of pretzel knots, homological "
@@ -402,15 +439,29 @@ def _absorb_negative_values(argv: list[str]) -> list[str]:
     return out
 
 
-def _discard_stdout() -> None:
-    """Point standard output at devnull, so the interpreter's last flush cannot fail again."""
+def _discard(stream) -> None:
+    """Point ``stream`` at devnull, so the interpreter's last flush cannot fail again."""
     try:
-        fd = sys.stdout.fileno()
+        fd = stream.fileno()
     except (AttributeError, OSError, ValueError):
         return  # not backed by a file descriptor, so no flush at exit can fail
     devnull = os.open(os.devnull, os.O_WRONLY)
     os.dup2(devnull, fd)
     os.close(devnull)
+
+
+def _write_stderr(text: str) -> None:
+    """Write to standard error; if it is closed or full, the text is lost, not the exit code."""
+    try:
+        sys.stderr.write(text)
+    except (AttributeError, OSError):  # AttributeError: no standard error at all
+        _discard(sys.stderr)
+
+
+def _report(message: str, code: int) -> int:
+    """Write one ``error:`` line to standard error and return ``code``."""
+    _write_stderr(f"error: {message}\n")
+    return code
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -428,18 +479,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:
         # commands turn every other OSError into an InputError, so this
         # one is a write to a closed or full standard output
-        _discard_stdout()
-        print(f"error: cannot write to standard output: {exc}", file=sys.stderr)
-        return 2
+        _discard(sys.stdout)
+        return _report(f"cannot write to standard output: {exc}", 2)
     except NotUnitAtOne as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _report(str(exc), 1)
     except SearchExhausted as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return _report(str(exc), 3)
     except (InputError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _report(str(exc), 2)
 
 
 if __name__ == "__main__":

@@ -7,13 +7,15 @@ import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from sympy import isprime
 
-from knotrank import characters, cli
+from cli_calls import run_calls
+from knotrank import characters, cli, pretzel
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -508,15 +510,15 @@ def test_full_stdout_exits_two_with_one_error_line():
     assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
 
 
-def run_into_full_stdout(*argv, unbuffered=False):
+def run_into_full(*argv, stream="stdout", unbuffered=False):
     env = module_env()
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
     with open("/dev/full", "w") as full:
+        streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, stream: full}
         return subprocess.run(
             [sys.executable, "-m", "knotrank", *argv],
-            stdout=full,
-            stderr=subprocess.PIPE,
+            **streams,
             text=True,
             env=env,
             cwd=REPO_ROOT,
@@ -530,7 +532,7 @@ def run_into_full_stdout(*argv, unbuffered=False):
 def test_full_stdout_help_exits_two_with_one_error_line(argv, unbuffered):
     # buffered, the help text waited for a flush that main never made (exit
     # 120); unbuffered, argparse dropped the failed write (exit 0)
-    proc = run_into_full_stdout(*argv, unbuffered=unbuffered)
+    proc = run_into_full(*argv, unbuffered=unbuffered)
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: cannot write to standard output: ")
     assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
@@ -538,11 +540,43 @@ def test_full_stdout_help_exits_two_with_one_error_line(argv, unbuffered):
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 def test_full_stdout_keeps_the_usage_error():
-    proc = run_into_full_stdout("witness", "--prime", "x")
+    proc = run_into_full("witness", "--prime", "x")
     assert proc.returncode == 2
     assert proc.stderr.startswith("usage: knotrank witness")
     assert "error: argument --prime: invalid int value: 'x'" in proc.stderr
     assert "standard output" not in proc.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["witness", "--prime", "15"], 2),
+        (["alexander", "--seifert", "no-such-matrix.json"], 2),
+        (["witness", "--prime", "x"], 2),
+        (["certificate", "--count", "5", "--search-limit", "3"], 3),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else str(v),
+)
+def test_full_stderr_keeps_the_exit_code(argv, code, unbuffered):
+    proc = run_into_full(*argv, stream="stderr", unbuffered=unbuffered)
+    assert proc.returncode == code
+    assert proc.stdout == ""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_stdout_and_stderr_exit_two():
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "knotrank", "witness", "--prime", "13"],
+            stdout=full,
+            stderr=full,
+            env=module_env(),
+            cwd=REPO_ROOT,
+            timeout=60,
+        )
+    assert proc.returncode == 2
 
 
 def test_rank_large_stabilization_within_budget():
@@ -567,8 +601,118 @@ def test_rank_past_the_int_string_limit_exits_two():
     assert "limit" in proc.stderr
 
 
+def test_rank_refuses_an_unprintable_stabilization_up_front():
+    # computing (1 - t + t^2)^100000 would take minutes, only to fail when printed
+    start = time.perf_counter()
+    proc = run_module("rank", "--index", "3", "--stab", "100000", timeout=30)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 2
+    assert elapsed < 1.0, f"rank --stab 100000 took {elapsed:.2f}s, budget 1s"
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: --stab 100000 is too large")
+    assert "4300 digits" in proc.stderr and len(proc.stderr.splitlines()) == 1
+
+
+def test_rank_refuses_only_what_could_not_be_printed(capsys):
+    # Under a 640-digit limit, K = 1330..1369 first succeed, then fail
+    # while printing, then are refused before any computation.  The
+    # largest coefficient grows with K, so the refusal never takes a K
+    # that would have printed if the first K it takes would not.
+    outcomes = []
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        for k in range(1330, 1370):
+            code, out, err = run_cli(capsys, "rank", "--index", "3", "--stab", str(k))
+            if code == 0:
+                outcomes.append("printed")
+            elif "is too large" in err:
+                assert out == ""
+                outcomes.append("refused")
+            else:
+                assert code == 2 and "Exceeds the limit" in err
+                outcomes.append("failed")
+    finally:
+        sys.set_int_max_str_digits(before)
+    assert outcomes == sorted(outcomes, key=["printed", "failed", "refused"].index)
+    assert {*outcomes} == {"printed", "failed", "refused"}
+    first = 1330 + outcomes.index("refused")
+    poly = pretzel.alexander_of_witness(pretzel.stabilize(pretzel.witness(3), first))
+    assert max(map(abs, poly.coeffs)) >= 10**640  # more than 640 digits
+
+
+def test_rank_with_no_digit_limit_refuses_nothing(capsys):
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        code, out, _ = run_cli(capsys, "rank", "--index", "3", "--stab", "1400")
+    finally:
+        sys.set_int_max_str_digits(before)
+    assert code == 0 and out.startswith("rank: 13\n")
+
+
 def test_module_entry_point_subprocess():
     proc = run_module("rank", "--index", "2", "--json", timeout=60)
     assert proc.returncode == 0
     envelope = json.loads(proc.stdout)
     assert envelope["result"]["rank"] == 5
+
+
+# -- one parser per process ------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def command_mix(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("mix")
+    return [
+        ["alexander", "--pretzel", "-1,3,3"],  # glued onto --pretzel before parsing
+        ["alexander", "--seifert", write_matrix(tmp, [[1, 1], [0, 1]]), "--json"],
+        ["fibered", "--pretzel", "3,3,3"],
+        ["witness", "--prime", "13", "--json"],
+        ["certificate", "--count", "3", "--search-limit", "100"],
+        ["rank", "--index", "2", "--stab", "1", "--json"],
+        ["selftest", "--fast"],
+        ["witness", "--prime", "x"],  # usage error: SystemExit inside argparse
+        ["frobnicate"],
+        ["--help"],
+        ["certificate", "--help"],
+        ["alexander", "--pretzel", "2,3,3"],  # InputError
+        ["fibered", "--seifert", str(tmp / "missing.json")],  # InputError
+        ["certificate", "--count", "5", "--search-limit", "3"],  # search exhaustion
+    ]
+
+
+def run_calls_in_subprocess(calls):
+    proc = subprocess.run(
+        [sys.executable, str(REPO_ROOT / "tests" / "cli_calls.py"), json.dumps(calls)],
+        capture_output=True,
+        text=True,
+        env=dict(module_env(), COLUMNS="80"),  # the help width
+        cwd=REPO_ROOT,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+@pytest.fixture(scope="module")
+def first_calls(command_mix):
+    """Each command's exit code, stdout and stderr as the first call of a fresh interpreter."""
+    return [run_calls_in_subprocess([argv])["results"][0] for argv in command_mix]
+
+
+def test_one_process_builds_one_parser_for_every_command(command_mix, first_calls):
+    report = run_calls_in_subprocess(command_mix)
+    assert report["results"] == first_calls
+    assert report["builds"] == 1
+    assert [code for code, _, _ in first_calls] == [0, 0, 0, 0, 0, 0, 0, 2, 2, 0, 0, 2, 2, 3]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_any_command_order_matches_first_calls(command_mix, first_calls, data):
+    order = data.draw(st.lists(st.sampled_from(range(len(command_mix))), min_size=2, max_size=20))
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+        report = run_calls([command_mix[i] for i in order])
+    assert report["results"] == [first_calls[i] for i in order]
+    assert report["builds"] <= 1

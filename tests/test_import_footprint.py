@@ -3,7 +3,8 @@
 Every command-line call starts a fresh interpreter, so a module the
 package imports without using is paid on every call.  ``dataclasses``
 (with ``inspect``) and ``fractions`` (with ``decimal``) once took most of
-the import time.
+the import time.  ``json`` loads only for ``--json`` output and
+``--seifert`` input.
 """
 
 import json
@@ -15,21 +16,60 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-UNNEEDED = ("dataclasses", "inspect", "fractions", "decimal")
+UNNEEDED = ("dataclasses", "inspect", "fractions", "decimal", "json")
 
 # -I ignores PYTHONPATH and the user's site directory, so the child
-# imports exactly the package under test, from SRC
+# imports exactly the package under test, from SRC.  It imports json
+# only to print its report, after every check of what is loaded.
 PROBE = f"""
-import json, sys
+import io, sys
+from contextlib import redirect_stdout
 sys.path.insert(0, {str(SRC)!r})
 import knotrank, knotrank.cli
 report = {{"origin": knotrank.__file__, "loaded": sorted({{*{UNNEEDED!r}}} & sys.modules.keys())}}
+with redirect_stdout(io.StringIO()) as out:
+    report["text_code"] = knotrank.cli.main(["witness", "--prime", "13"])
+report["text"] = out.getvalue()
+report["json_after_text"] = "json" in sys.modules
+with redirect_stdout(io.StringIO()) as out:
+    report["json_code"] = knotrank.cli.main(["witness", "--prime", "13", "--json"])
+report["json"] = out.getvalue()
 from knotrank import LaurentPoly
 report["pole_value"] = str(LaurentPoly(-1, (1, 1)).eval_at(2))
 report["fractions_after_pole"] = "fractions" in sys.modules
 from fractions import Fraction
 report["at_half"] = LaurentPoly(-1, (1, 1)).eval_at(Fraction(1, 2)) == 3
+import json
 print(json.dumps(report))
+"""
+
+# the parent's output of ``knotrank witness --prime 13 --json``, byte for byte
+WITNESS_13_JSON = """{
+  "command": "witness",
+  "result": {
+    "factorization": [
+      [
+        13,
+        1
+      ],
+      [
+        17,
+        1
+      ]
+    ],
+    "m": 8,
+    "n": 11,
+    "pretzel": [
+      -21,
+      23,
+      243
+    ],
+    "prime": 13,
+    "rank": 221,
+    "rank_mod_p": 0
+  },
+  "schema_version": "1"
+}
 """
 
 
@@ -52,3 +92,14 @@ def test_fractions_load_on_demand(report):
     assert report["pole_value"] == "3/2"
     assert report["fractions_after_pole"]
     assert report["at_half"]
+
+
+def test_text_command_leaves_json_unloaded(report):
+    assert report["text_code"] == 0
+    assert report["text"].startswith("prime: 13\n")
+    assert not report["json_after_text"]
+
+
+def test_json_output_is_unchanged(report):
+    assert report["json_code"] == 0
+    assert report["json"] == WITNESS_13_JSON
