@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 domain failure, 2 usage or input error,
 from __future__ import annotations
 
 import argparse
-import functools
 import math
 import os
 import sys
@@ -34,7 +33,9 @@ def _canonical_json(value) -> str:
     time; here a list whose entries are all exactly ``int`` (a matrix
     row, a factorization pair) is joined in a single ``str.join``.
     ``json`` is imported here, not with the module, because text output
-    never needs it.
+    never needs it; the encoder is a closure over the imports because an
+    import statement in the recursion runs once per value, which made
+    a 150-row certificate's envelope a third slower.
     """
     import json
     from json.encoder import encode_basestring_ascii
@@ -337,85 +338,86 @@ class _ArgumentParser(argparse.ArgumentParser):
 
     ``argparse`` drops the ``OSError`` of every message it prints, so
     ``--help`` into a full or closed standard output would print nothing
-    and still exit 0.  Messages to standard error go through
-    ``_write_stderr``, which keeps the exit code when they are lost.
+    and still exit 0.  Messages to standard error are dropped as before.
     """
 
     def _print_message(self, message, file=None):
         if message and file is sys.stdout:
             file.write(message)
-        elif message and file is sys.stderr:
-            _write_stderr(message)
         else:
             super()._print_message(message, file)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The ``knotrank`` parser, built on the first call in a process and shared after it.
+def _add_knot_source(p: argparse.ArgumentParser) -> None:
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument(
+        "--pretzel", metavar="A,B,C", help="odd strand values of the pretzel knot P(A,B,C)"
+    )
+    group.add_argument("--seifert", metavar="PATH", help="path to a Seifert matrix JSON file")
 
-    Reusing it is safe because ``argparse`` keeps nothing from one parse
-    to the next: each parse returns a fresh namespace, and the help width
-    and ``sys.stdout`` are read when a message is printed.  This plain
-    function stays in front of the cache so that a tracer wrapping the
-    module's functions still sees every call.
+
+def _add_witness_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--prime", type=int, required=True, metavar="P")
+
+
+def _add_certificate_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--count", type=int, default=10, metavar="N")
+    p.add_argument("--search-limit", type=int, default=10_000, metavar="L")
+    p.add_argument("--csv", metavar="PATH", help="also write the evaluation matrix as CSV")
+
+
+def _add_rank_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--index", type=int, required=True, metavar="N")
+    p.add_argument("--stab", type=int, default=0, metavar="K")
+
+
+def _add_selftest_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--fast", action="store_true", help="reduced ranges, finishes in seconds")
+
+
+# name: (help line, handler, adds the options before --json), in help order
+_COMMANDS = {
+    "alexander": ("normalized Alexander polynomial", cmd_alexander, _add_knot_source),
+    "fibered": ("homological fiberedness test", cmd_fibered, _add_knot_source),
+    "witness": ("witness knot for a prime p = 1 (mod 4)", cmd_witness, _add_witness_args),
+    "certificate": (
+        "build and verify an independence certificate",
+        cmd_certificate,
+        _add_certificate_args,
+    ),
+    "rank": ("rank data of a (possibly stabilized) witness", cmd_rank, _add_rank_args),
+    "selftest": ("run the built-in consistency checks", cmd_selftest, _add_selftest_args),
+}
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The ``knotrank`` parser; with a ``command`` name, only that subcommand's.
+
+    argparse builds a whole parser per subcommand, which is most of the
+    cost of a short command.  A parse whose first word is ``command``
+    never reaches another subcommand, and the one top-level message it
+    can print, ``unrecognized arguments``, shows the usage line, which
+    the metavar keeps listing every command.  So for such a parse the
+    narrow parser prints what the full one prints, byte for byte.  For
+    any other ``command`` (``None``, an unknown name) all are built.
     """
-    return _cached_parser()
-
-
-@functools.cache
-def _cached_parser() -> argparse.ArgumentParser:
+    names = [command] if command in _COMMANDS else list(_COMMANDS)
     parser = _ArgumentParser(
         prog="knotrank",
         description="Exact Alexander polynomials of pretzel knots, homological "
         "fiberedness tests, witness ranks, and independence certificates.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_json(p: argparse.ArgumentParser) -> None:
+    sub = parser.add_subparsers(
+        dest="command",
+        required=True,
+        metavar="{" + ",".join(_COMMANDS) + "}" if len(names) == 1 else None,
+    )
+    for name in names:
+        help_line, func, add_options = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_line)
+        add_options(p)
         p.add_argument("--json", action="store_true", help="emit a JSON envelope")
-
-    def add_knot_source(p: argparse.ArgumentParser) -> None:
-        group = p.add_mutually_exclusive_group(required=True)
-        group.add_argument(
-            "--pretzel", metavar="A,B,C", help="odd strand values of the pretzel knot P(A,B,C)"
-        )
-        group.add_argument(
-            "--seifert", metavar="PATH", help="path to a Seifert matrix JSON file"
-        )
-
-    p = sub.add_parser("alexander", help="normalized Alexander polynomial")
-    add_knot_source(p)
-    add_json(p)
-    p.set_defaults(func=cmd_alexander)
-
-    p = sub.add_parser("fibered", help="homological fiberedness test")
-    add_knot_source(p)
-    add_json(p)
-    p.set_defaults(func=cmd_fibered)
-
-    p = sub.add_parser("witness", help="witness knot for a prime p = 1 (mod 4)")
-    p.add_argument("--prime", type=int, required=True, metavar="P")
-    add_json(p)
-    p.set_defaults(func=cmd_witness)
-
-    p = sub.add_parser("certificate", help="build and verify an independence certificate")
-    p.add_argument("--count", type=int, default=10, metavar="N")
-    p.add_argument("--search-limit", type=int, default=10_000, metavar="L")
-    p.add_argument("--csv", metavar="PATH", help="also write the evaluation matrix as CSV")
-    add_json(p)
-    p.set_defaults(func=cmd_certificate)
-
-    p = sub.add_parser("rank", help="rank data of a (possibly stabilized) witness")
-    p.add_argument("--index", type=int, required=True, metavar="N")
-    p.add_argument("--stab", type=int, default=0, metavar="K")
-    add_json(p)
-    p.set_defaults(func=cmd_rank)
-
-    p = sub.add_parser("selftest", help="run the built-in consistency checks")
-    p.add_argument("--fast", action="store_true", help="reduced ranges, finishes in seconds")
-    add_json(p)
-    p.set_defaults(func=cmd_selftest)
-
+        p.set_defaults(func=func)
     return parser
 
 
@@ -450,26 +452,23 @@ def _discard(stream) -> None:
     os.close(devnull)
 
 
-def _write_stderr(text: str) -> None:
-    """Write to standard error; if it is closed or full, the text is lost, not the exit code."""
-    try:
-        sys.stderr.write(text)
-    except (AttributeError, OSError):  # AttributeError: no standard error at all
-        _discard(sys.stderr)
-
-
 def _report(message: str, code: int) -> int:
-    """Write one ``error:`` line to standard error and return ``code``."""
-    _write_stderr(f"error: {message}\n")
+    """Write one ``error:`` line to standard error and return ``code``.
+
+    When standard error is closed or full, the line is lost, not the code.
+    """
+    try:
+        sys.stderr.write(f"error: {message}\n")
+    except (AttributeError, OSError):  # AttributeError: no standard error at all
+        pass
     return code
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    raw = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+def _run(argv: list[str]) -> int:
+    parser = build_parser(argv[0] if argv else None)
     try:
         try:
-            args = parser.parse_args(_absorb_negative_values(raw))
+            args = parser.parse_args(_absorb_negative_values(argv))
         except SystemExit as exc:  # argparse printed the help or a usage error
             code = exc.code if isinstance(exc.code, int) else 2
         else:
@@ -479,7 +478,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:
         # commands turn every other OSError into an InputError, so this
         # one is a write to a closed or full standard output
-        _discard(sys.stdout)
         return _report(f"cannot write to standard output: {exc}", 2)
     except NotUnitAtOne as exc:
         return _report(str(exc), 1)
@@ -487,6 +485,25 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _report(str(exc), 3)
     except (InputError, ValueError) as exc:
         return _report(str(exc), 2)
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command; ``argv`` defaults to ``sys.argv[1:]``.
+
+    Without ``argv`` (``python -m knotrank``, the console script) the
+    interpreter exits next, and a standard stream whose flush fails now
+    would fail again in its last flush and turn the exit code into 120;
+    such a stream is pointed at devnull.  A caller that passes ``argv``
+    keeps its streams as they are.
+    """
+    code = _run(list(sys.argv[1:] if argv is None else argv))
+    if argv is None:
+        for stream in (sys.stdout, sys.stderr):
+            try:
+                stream.flush()
+            except (AttributeError, OSError):
+                _discard(stream)
+    return code
 
 
 if __name__ == "__main__":

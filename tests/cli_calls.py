@@ -2,12 +2,14 @@
 
     PYTHONPATH=src python tests/cli_calls.py '[["witness", "--prime", "13"], ["--help"]]'
 
-prints ``{"builds": B, "results": [[code, stdout, stderr], ...]}`` as
-JSON, where B counts the top-level parsers constructed.  Run with a
-single command in a fresh interpreter, it gives the output a longer
-sequence in one process must reproduce for that command.
+prints ``[[code, stdout, stderr, built], ...]`` as JSON, one entry per
+command, where ``built`` names the subcommands whose parsers the call
+constructed.  Run with a single command in a fresh interpreter, it gives
+the output a longer sequence in one process must reproduce for that
+command.
 """
 
+import argparse
 import io
 import json
 import sys
@@ -18,22 +20,22 @@ from knotrank import cli
 
 
 def run_calls(calls):
-    builds = 0
-    init = cli._ArgumentParser.__init__
+    built: list[str] = []
+    add_parser = argparse._SubParsersAction.add_parser
 
-    def counting_init(self, *args, **kwargs):
-        nonlocal builds
-        builds += kwargs.get("prog") == "knotrank"  # subparsers are "knotrank <command>"
-        init(self, *args, **kwargs)
+    def recording_add_parser(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
 
     results = []
-    with mock.patch.object(cli._ArgumentParser, "__init__", counting_init):
+    with mock.patch.object(argparse._SubParsersAction, "add_parser", recording_add_parser):
         for argv in calls:
+            built.clear()
             out, err = io.StringIO(), io.StringIO()
             with redirect_stdout(out), redirect_stderr(err):
                 code = cli.main(argv)
-            results.append([code, out.getvalue(), err.getvalue()])
-    return {"builds": builds, "results": results}
+            results.append([code, out.getvalue(), err.getvalue(), list(built)])
+    return results
 
 
 if __name__ == "__main__":

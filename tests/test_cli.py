@@ -579,6 +579,53 @@ def test_full_stdout_and_stderr_exit_two():
     assert proc.returncode == 2
 
 
+# In process, fd 2 becomes a full non-blocking pipe, so the first error
+# line cannot be written; once the pipe is drained, a second call's line
+# must arrive, so main may not have pointed fd 2 anywhere else.
+STDERR_BACKPRESSURE = """
+import os, sys
+from knotrank import cli
+
+r, w = os.pipe()
+os.set_blocking(r, False)
+os.set_blocking(w, False)
+for chunk in (b"x" * 4096, b"x"):
+    try:
+        while True:
+            os.write(w, chunk)
+    except BlockingIOError:
+        pass
+saved = os.dup(2)
+os.dup2(w, 2)
+first = cli.main(["witness", "--prime", "15"])
+try:
+    while os.read(r, 1 << 16):
+        pass
+except BlockingIOError:
+    pass
+second = cli.main(["witness", "--prime", "15"])
+sys.stderr.flush()
+got = os.read(r, 1 << 16)
+os.dup2(saved, 2)
+print(first, second, got.decode())
+"""
+
+
+def test_in_process_call_leaves_stderr_usable_after_a_failed_write():
+    proc = subprocess.run(
+        [sys.executable, "-c", STDERR_BACKPRESSURE],
+        capture_output=True,
+        text=True,
+        env=module_env(),  # a buffered stderr, whose write raises BlockingIOError
+        cwd=REPO_ROOT,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    first, second, got = proc.stdout.split(" ", 2)
+    assert (first, second) == ("2", "2")
+    assert got.endswith("error: 15 is not prime\n\n")  # the line, then print's newline
+
+
 def test_rank_large_stabilization_within_budget():
     # (1 - t + t^2)^3000 by dense repeated squaring ran past 20 s
     start = time.perf_counter()
@@ -658,7 +705,7 @@ def test_module_entry_point_subprocess():
     assert envelope["result"]["rank"] == 5
 
 
-# -- one parser per process ------------------------------------------------
+# -- one parser per command ------------------------------------------------
 
 
 @pytest.fixture(scope="module")
@@ -673,6 +720,7 @@ def command_mix(tmp_path_factory):
         ["rank", "--index", "2", "--stab", "1", "--json"],
         ["selftest", "--fast"],
         ["witness", "--prime", "x"],  # usage error: SystemExit inside argparse
+        ["witness", "--prime", "13", "extra"],  # top-level usage line
         ["frobnicate"],
         ["--help"],
         ["certificate", "--help"],
@@ -697,15 +745,23 @@ def run_calls_in_subprocess(calls):
 
 @pytest.fixture(scope="module")
 def first_calls(command_mix):
-    """Each command's exit code, stdout and stderr as the first call of a fresh interpreter."""
-    return [run_calls_in_subprocess([argv])["results"][0] for argv in command_mix]
+    """Each command's exit code, stdout, stderr and parsers as the first call of a fresh interpreter."""
+    return [run_calls_in_subprocess([argv])[0] for argv in command_mix]
 
 
-def test_one_process_builds_one_parser_for_every_command(command_mix, first_calls):
-    report = run_calls_in_subprocess(command_mix)
-    assert report["results"] == first_calls
-    assert report["builds"] == 1
-    assert [code for code, _, _ in first_calls] == [0, 0, 0, 0, 0, 0, 0, 2, 2, 0, 0, 2, 2, 3]
+def test_one_process_matches_first_calls(command_mix, first_calls):
+    assert run_calls_in_subprocess(command_mix) == first_calls
+    assert [code for code, *_ in first_calls] == [0, 0, 0, 0, 0, 0, 0, 2, 2, 2, 0, 0, 2, 2, 3]
+    assert "usage: knotrank [-h] {alexander,fibered,witness,certificate,rank,selftest} ..." in (
+        first_calls[8][2]
+    )
+
+
+def test_a_named_command_builds_only_its_own_parser(command_mix, first_calls):
+    every = list(cli._COMMANDS)
+    assert every == ["alexander", "fibered", "witness", "certificate", "rank", "selftest"]
+    expected = [[argv[0]] if argv[0] in every else every for argv in command_mix]
+    assert [built for *_, built in first_calls] == expected
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -713,6 +769,35 @@ def test_one_process_builds_one_parser_for_every_command(command_mix, first_call
 def test_any_command_order_matches_first_calls(command_mix, first_calls, data):
     order = data.draw(st.lists(st.sampled_from(range(len(command_mix))), min_size=2, max_size=20))
     with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
-        report = run_calls([command_mix[i] for i in order])
-    assert report["results"] == [first_calls[i] for i in order]
-    assert report["builds"] <= 1
+        results = run_calls([command_mix[i] for i in order])
+    assert results == [first_calls[i] for i in order]
+
+
+# words that reach every branch of the parsers without a long computation:
+# options of each subcommand, abbreviations, help, values and stray words
+PARSER_WORDS = [
+    "--prime", "--pri", "--json", "--js", "--pretzel", "--pretzel=3,3,3", "-1,3,3",
+    "3,3,3", "--seifert", "--count", "--search-limit", "--search", "--index",
+    "--stab", "--fast", "-h", "--help", "--bogus", "-x", "13", "2", "x", "witness",
+    "rank", "--",
+]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    command=st.sampled_from([*cli._COMMANDS, "frobnicate", "-h", "--json"]),
+    rest=st.lists(st.sampled_from(PARSER_WORDS), max_size=6),
+)
+@example(command="witness", rest=["--prime", "13", "extra"])
+@example(command="rank", rest=["--index", "2", "--bogus"])
+@example(command="certificate", rest=["-h"])
+def test_narrow_parser_prints_what_the_full_parser_prints(command, rest):
+    argv = [command, *rest]
+    if command == "selftest" and "--fast" not in rest:
+        argv.append("--fast")  # the full ranges take minutes
+    build_full = cli.build_parser
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+        narrow = run_calls([argv])
+        with mock.patch.object(cli, "build_parser", lambda command=None: build_full()):
+            full = run_calls([argv])
+    assert narrow[0][:3] == full[0][:3]
