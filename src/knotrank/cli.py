@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 domain failure, 2 usage or input error,
 from __future__ import annotations
 
 import argparse
+import errno
 import math
 import os
 import sys
@@ -66,6 +67,19 @@ def _canonical_json(value) -> str:
     return encode(value, "\n")
 
 
+def _write(*parts: str) -> None:
+    """Write ``parts`` to standard output and flush: its one writer.
+
+    A standard output closed at start-up is ``None``, where ``print``
+    writes nothing; here it fails as a write to a closed descriptor does.
+    """
+    if sys.stdout is None:
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+    for part in parts:
+        sys.stdout.write(part)
+    sys.stdout.flush()
+
+
 def _emit(args, command: str, result: dict, text_lines: list[str]) -> None:
     if args.json:
         envelope = {
@@ -73,10 +87,9 @@ def _emit(args, command: str, result: dict, text_lines: list[str]) -> None:
             "command": command,
             "result": result,
         }
-        print(_canonical_json(envelope))
+        _write(_canonical_json(envelope), "\n")
     else:
-        for line in text_lines:
-            print(line)
+        _write("\n".join(text_lines), "\n")
 
 
 def _parse_pretzel(text: str) -> PretzelKnot:
@@ -319,14 +332,10 @@ def cmd_selftest(args) -> int:
             failed = True
             break
         results.append({"name": name, "ok": True})
-    if args.json:
-        _emit(args, "selftest", {"checks": results, "ok": not failed}, [])
-    else:
-        for r in results:
-            if r["ok"]:
-                print(f"ok: {r['name']}")
-            else:
-                print(f"FAIL: {r['name']} ({r['detail']})")
+    text = [
+        f"ok: {r['name']}" if r["ok"] else f"FAIL: {r['name']} ({r['detail']})" for r in results
+    ]
+    _emit(args, "selftest", {"checks": results, "ok": not failed}, text)
     return 1 if failed else 0
 
 
@@ -334,18 +343,21 @@ def cmd_selftest(args) -> int:
 
 
 class _ArgumentParser(argparse.ArgumentParser):
-    """A parser whose failed writes to standard output raise.
+    """A parser that prints its help through ``_write``, all else through ``_warn``.
 
-    ``argparse`` drops the ``OSError`` of every message it prints, so
-    ``--help`` into a full or closed standard output would print nothing
-    and still exit 0.  Messages to standard error are dropped as before.
+    ``argparse`` drops the error of every message it prints, so ``--help``
+    into a full or closed standard output would print nothing and still
+    exit 0; through ``_write`` the failure reaches ``_run``.  Its other
+    messages, a usage error's lines, belong on standard error, where
+    ``argparse`` itself sends the usage line to standard output when
+    standard error is closed, and Python 3.10 raises on a failed write.
     """
 
+    def print_help(self, file=None):
+        _write(self.format_help())
+
     def _print_message(self, message, file=None):
-        if message and file is sys.stdout:
-            file.write(message)
-        else:
-            super()._print_message(message, file)
+        _warn(message)
 
 
 def _add_knot_source(p: argparse.ArgumentParser) -> None:
@@ -422,45 +434,31 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
 
 
 def _absorb_negative_values(argv: list[str]) -> list[str]:
-    # argparse mistakes "-1,3,3" for a flag; glue such values onto --pretzel
+    # argparse mistakes "-1,3,3" for a flag; glue such values onto --pretzel,
+    # or onto an abbreviation of it, which in these commands is unambiguous
+    if argv[:1] not in (["alexander"], ["fibered"]):
+        return argv
     out: list[str] = []
-    i = 0
-    while i < len(argv):
-        if (
-            argv[i] == "--pretzel"
-            and i + 1 < len(argv)
-            and argv[i + 1].startswith("-")
-            and len(argv[i + 1]) > 1
-            and argv[i + 1][1].isdigit()
-        ):
-            out.append(f"--pretzel={argv[i + 1]}")
-            i += 2
+    for word in argv:
+        opt = out[-1] if out else ""
+        if len(opt) > 2 and "--pretzel".startswith(opt) and word[:1] == "-" and word[1:2].isdigit():
+            out[-1] = f"--pretzel={word}"
         else:
-            out.append(argv[i])
-            i += 1
+            out.append(word)
     return out
 
 
-def _discard(stream) -> None:
-    """Point ``stream`` at devnull, so the interpreter's last flush cannot fail again."""
+def _warn(text: str) -> None:
+    """Write ``text`` to standard error; when that is closed or full, the text is lost."""
     try:
-        fd = stream.fileno()
-    except (AttributeError, OSError, ValueError):
-        return  # not backed by a file descriptor, so no flush at exit can fail
-    devnull = os.open(os.devnull, os.O_WRONLY)
-    os.dup2(devnull, fd)
-    os.close(devnull)
+        sys.stderr.write(text)
+    except (AttributeError, OSError):  # AttributeError: no standard error at all
+        pass
 
 
 def _report(message: str, code: int) -> int:
-    """Write one ``error:`` line to standard error and return ``code``.
-
-    When standard error is closed or full, the line is lost, not the code.
-    """
-    try:
-        sys.stderr.write(f"error: {message}\n")
-    except (AttributeError, OSError):  # AttributeError: no standard error at all
-        pass
+    """Write one ``error:`` line to standard error and return ``code``."""
+    _warn(f"error: {message}\n")
     return code
 
 
@@ -470,14 +468,11 @@ def _run(argv: list[str]) -> int:
         try:
             args = parser.parse_args(_absorb_negative_values(argv))
         except SystemExit as exc:  # argparse printed the help or a usage error
-            code = exc.code if isinstance(exc.code, int) else 2
-        else:
-            code = args.func(args)
-        sys.stdout.flush()
-        return code
+            return exc.code if isinstance(exc.code, int) else 2
+        return args.func(args)
     except OSError as exc:
         # commands turn every other OSError into an InputError, so this
-        # one is a write to a closed or full standard output
+        # one is _write's, to a closed or full standard output
         return _report(f"cannot write to standard output: {exc}", 2)
     except NotUnitAtOne as exc:
         return _report(str(exc), 1)
@@ -490,19 +485,22 @@ def _run(argv: list[str]) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run one command; ``argv`` defaults to ``sys.argv[1:]``.
 
-    Without ``argv`` (``python -m knotrank``, the console script) the
-    interpreter exits next, and a standard stream whose flush fails now
-    would fail again in its last flush and turn the exit code into 120;
-    such a stream is pointed at devnull.  A caller that passes ``argv``
-    keeps its streams as they are.
+    Standard output is written only through ``_write``, whose failure
+    ``_run`` turns into exit 2, and standard error only through
+    ``_warn``, which drops a failed write.  Without ``argv`` (``python -m
+    knotrank``, the console script) the interpreter exits next, and a
+    standard stream whose flush fails now would fail again in its last
+    flush and turn the exit code into 120, so its descriptor is pointed
+    at devnull.  A caller that passes ``argv`` keeps its descriptors.
     """
     code = _run(list(sys.argv[1:] if argv is None else argv))
     if argv is None:
-        for stream in (sys.stdout, sys.stderr):
+        for stream in filter(None, (sys.stdout, sys.stderr)):  # None: closed at start-up
             try:
                 stream.flush()
-            except (AttributeError, OSError):
-                _discard(stream)
+            except OSError:
+                with open(os.devnull, "w") as devnull:
+                    os.dup2(devnull.fileno(), stream.fileno())
     return code
 
 

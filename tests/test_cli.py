@@ -626,6 +626,117 @@ def test_in_process_call_leaves_stderr_usable_after_a_failed_write():
     assert got.endswith("error: 15 is not prime\n\n")  # the line, then print's newline
 
 
+# -- the stream contract: the table in README "Command line", one test per cell
+
+# outcome: (argv, exit code, stdout, stderr) with both streams open; None
+# stands for the help text
+STREAM_OUTCOMES = {
+    "success": (
+        ["witness", "--prime", "13"],
+        0,
+        "prime: 13\nm: 8 (m^2 = -1 mod 13)\nwitness index: 11\npretzel: P(-21, 23, 243)\n"
+        "rank: 221\nfactorization: 13 * 17\nrank mod 13: 0\n",
+        "",
+    ),
+    "exit 1": (
+        ["alexander", "--seifert", "identity.json"],
+        1,
+        "",
+        "error: det(V - V^T) = 0; the matrix is not a Seifert matrix of a knot\n",
+    ),
+    "exit 2": (["witness", "--prime", "15"], 2, "", "error: 15 is not prime\n"),
+    "exit 3": (
+        ["certificate", "--count", "5", "--search-limit", "3"],
+        3,
+        "",
+        "error: found only 2 of 5 witnesses with indices <= 3\n",
+    ),
+    "--help": (["--help"], 0, None, ""),
+    "usage error": (
+        ["witness", "--prime", "x"],
+        2,
+        "",
+        "usage: knotrank witness [-h] --prime P [--json]\n"
+        "knotrank witness: error: argument --prime: invalid int value: 'x'\n",
+    ),
+}
+WRITE_ERRORS = {
+    "closed": "[Errno 9] Bad file descriptor",
+    "full": "[Errno 28] No space left on device",
+}
+
+
+@pytest.fixture(scope="module")
+def stream_cwd(tmp_path_factory):
+    cwd = tmp_path_factory.mktemp("streams")
+    write_matrix(cwd, [[1, 0], [0, 1]], name="identity.json")  # V - V^T = 0
+    return cwd
+
+
+def run_with_streams(argv, stdout, stderr, unbuffered, cwd):
+    """Run ``python -m knotrank`` with each standard stream open (a pipe), closed or full."""
+    env = dict(module_env(), COLUMNS="80")
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    closed = [fd for fd, state in ((1, stdout), (2, stderr)) if state == "closed"]
+    with open("/dev/full", "w") as full:
+        target = {"open": subprocess.PIPE, "closed": subprocess.DEVNULL, "full": full}
+        return subprocess.run(
+            [sys.executable, "-m", "knotrank", *argv],
+            stdout=target[stdout],
+            stderr=target[stderr],
+            preexec_fn=lambda: [os.close(fd) for fd in closed],  # as the shell's >&- and 2>&-
+            text=True,
+            env=env,
+            cwd=cwd,
+            timeout=60,
+        )
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("stderr", ["open", "closed", "full"], ids=lambda s: f"stderr {s}")
+@pytest.mark.parametrize("stdout", ["open", "closed", "full"], ids=lambda s: f"stdout {s}")
+@pytest.mark.parametrize("outcome", list(STREAM_OUTCOMES))
+def test_stream_contract(outcome, stdout, stderr, unbuffered, stream_cwd):
+    argv, code, out, err = STREAM_OUTCOMES[outcome]
+    if out is None:
+        with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+            out = cli.build_parser().format_help()
+    if out and stdout != "open":  # the output cannot be written
+        code, err = 2, f"error: cannot write to standard output: {WRITE_ERRORS[stdout]}\n"
+    proc = run_with_streams(argv, stdout, stderr, unbuffered, stream_cwd)
+    assert proc.returncode == code, proc.stderr
+    if stdout == "open":
+        assert proc.stdout == out
+    if stderr == "open":
+        assert proc.stderr == err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_closed_stdout_still_writes_the_csv(tmp_path):
+    csv = tmp_path / "matrix.csv"
+    proc = run_with_streams(
+        ["certificate", "--count", "3", "--csv", str(csv)], "closed", "open", False, REPO_ROOT
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: cannot write to standard output: {WRITE_ERRORS['closed']}\n"
+    assert csv.read_text().startswith("prime,witness_2,witness_3,witness_5\n5,1,0,0\n")
+
+
+def test_in_process_call_with_no_stdout_exits_two(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", None)  # as Python starts with a closed stdout
+    assert cli.main(["witness", "--prime", "13"]) == 2
+    assert cli.main(["--help"]) == 2
+    assert cli.main(["witness", "--prime", "15"]) == 2
+    monkeypatch.undo()
+    err = capsys.readouterr().err
+    assert err == (
+        f"error: cannot write to standard output: {WRITE_ERRORS['closed']}\n" * 2
+        + "error: 15 is not prime\n"
+    )
+
+
 def test_rank_large_stabilization_within_budget():
     # (1 - t + t^2)^3000 by dense repeated squaring ran past 20 s
     start = time.perf_counter()
@@ -801,3 +912,30 @@ def test_narrow_parser_prints_what_the_full_parser_prints(command, rest):
         with mock.patch.object(cli, "build_parser", lambda command=None: build_full()):
             full = run_calls([argv])
     assert narrow[0][:3] == full[0][:3]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    command=st.sampled_from(["alexander", "fibered"]),
+    before=st.lists(st.sampled_from(PARSER_WORDS), max_size=3),
+    flag=st.sampled_from(["--p", "--pr", "--pret", "--pretzel"]),
+    value=st.sampled_from(["-1,3,3", "-3,5,-7", "-1", "-1,x,3"]),
+    after=st.lists(st.sampled_from(PARSER_WORDS), max_size=2),
+)
+@example(command="alexander", before=[], flag="--p", value="-1,3,3", after=[])
+@example(command="fibered", before=["--json"], flag="--pret", value="-1,3,3", after=[])
+def test_negative_pretzel_value_after_any_abbreviation(command, before, flag, value, after):
+    # argparse takes "-1,3,3" for a flag unless it is glued on with "="
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+        spaced, glued = run_calls(
+            [
+                [command, *before, flag, value, *after],
+                [command, *before, f"--pretzel={value}", *after],
+            ]
+        )
+    assert spaced[:3] == glued[:3]
+
+
+def test_negative_value_after_a_witness_abbreviation_stays_a_value(capsys):
+    # --pr abbreviates --prime here, whose negative values argparse already takes
+    assert run_cli(capsys, "witness", "--pr", "-5") == (2, "", "error: -5 is not prime\n")
