@@ -5,34 +5,25 @@ A subclass names its fields in ``__slots__`` and sets them in its own
 frozen dataclass has: equality between records of the same class with
 equal fields, a hash of the field tuple, a ``Name(field=value, ...)``
 repr, ``AttributeError`` on assignment and deletion, and pickling and
-copying through the constructor.  It imports nothing, where
-``dataclasses`` pulls in ``inspect``, ``ast`` and ``dis``.
+copying through the constructor.  All of these read the one field tuple
+``_values``; nothing is generated, and no class changes after import.
+It imports nothing, where ``dataclasses`` pulls in ``inspect``, ``ast``
+and ``dis``.  ``json_int`` is the one reader of an integer field in a
+record's ``from_json``.
 """
 
 
-def _compile_comparisons(cls: type) -> type:
-    """Give ``cls`` the ``__eq__`` and ``__hash__`` a frozen dataclass generates.
+def json_int(value: object, what: str) -> int:
+    """``value`` if it is an integer; JSON true, false, reals and strings are not.
 
-    The interpreter reads a slot named in the source several times
-    faster than ``operator.attrgetter`` does, which made == and hash
-    1.7 times slower than a dataclass's.
+    The message shows ``value`` cut short, so that a long list or string
+    read from a file gives one short error line.
     """
-    own = "".join(f"self.{name}," for name in cls.__slots__)
-    source = (
-        f"def __eq__(self, other):\n"
-        f"    if other.__class__ is self.__class__:\n"
-        f"        return ({own}) == ({own.replace('self.', 'other.')})\n"
-        f"    return NotImplemented\n"
-        f"def __hash__(self):\n"
-        f"    return hash(({own}))\n"
-    )
-    namespace: dict = {}
-    exec(source, namespace)
-    for name in ("__eq__", "__hash__"):
-        method = namespace[name]
-        method.__qualname__ = f"{cls.__qualname__}.{name}"
-        setattr(cls, name, method)
-    return cls
+    if not isinstance(value, int) or isinstance(value, bool):
+        import reprlib
+
+        raise ValueError(f"{what} must be an integer, got {reprlib.repr(value)}")
+    return value
 
 
 class Frozen:
@@ -54,16 +45,16 @@ class Frozen:
     def __init_subclass__(cls) -> None:
         cls.__match_args__ = cls.__slots__
 
-    # A class compiles its own == and hash on first use, so a process
-    # that never compares records does not pay for the compilation.
-    def __eq__(self, other):
-        return _compile_comparisons(self.__class__).__eq__(self, other)
-
-    def __hash__(self) -> int:
-        return _compile_comparisons(self.__class__).__hash__(self)
-
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
 
     def __repr__(self) -> str:
         pairs = ", ".join(f"{k}={v!r}" for k, v in zip(self.__slots__, self._values()))

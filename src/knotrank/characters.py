@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Optional
 
 from . import numtheory, pretzel
-from ._frozen import Frozen
+from ._frozen import Frozen, json_int
 from .numtheory import NotPrime, PrimePower
 from .pretzel import WitnessKnot
 
@@ -31,13 +31,6 @@ def prime_component(w: WitnessKnot, p: int) -> int:
         r //= p
         e += 1
     return e
-
-
-def _json_int(value: object, what: str) -> int:
-    """``value`` if it is an integer; JSON true, false, reals and strings are not."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return value
 
 
 class CertifiedWitness(Frozen):
@@ -73,13 +66,13 @@ class CertifiedWitness(Frozen):
     def from_json(cls, data: dict) -> "CertifiedWitness":
         try:
             w = WitnessKnot.from_json(data["witness"])
-            rank = _json_int(data["rank"], "'rank'")
+            rank = json_int(data["rank"], "'rank'")
             # unpacking refuses a pair that does not have exactly 2 entries
             factorization = tuple(
-                PrimePower(_json_int(p, "a factor"), _json_int(e, "an exponent"))
+                PrimePower(json_int(p, "a factor"), json_int(e, "an exponent"))
                 for p, e in data["factorization"]
             )
-            mp = _json_int(data["max_prime"], "'max_prime'")
+            mp = json_int(data["max_prime"], "'max_prime'")
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed certified witness JSON: {exc}") from exc
         return cls(w, rank, factorization, mp)
@@ -139,9 +132,9 @@ class IndependenceCertificate(Frozen):
     def from_json(cls, data: dict) -> "IndependenceCertificate":
         try:
             witnesses = tuple(CertifiedWitness.from_json(w) for w in data["witnesses"])
-            primes = tuple(_json_int(p, "a prime") for p in data["primes"])
+            primes = tuple(json_int(p, "a prime") for p in data["primes"])
             matrix = tuple(
-                tuple(_json_int(v, "a matrix entry") for v in row) for row in data["matrix"]
+                tuple(json_int(v, "a matrix entry") for v in row) for row in data["matrix"]
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed certificate JSON: {exc}") from exc

@@ -67,29 +67,32 @@ def _canonical_json(value) -> str:
     return encode(value, "\n")
 
 
-def _write(*parts: str) -> None:
-    """Write ``parts`` to standard output and flush: its one writer.
+def _write(text: str) -> None:
+    """Write ``text`` to standard output and flush: its one writer.
 
     A standard output closed at start-up is ``None``, where ``print``
     writes nothing; here it fails as a write to a closed descriptor does.
     """
     if sys.stdout is None:
         raise OSError(errno.EBADF, os.strerror(errno.EBADF))
-    for part in parts:
-        sys.stdout.write(part)
+    sys.stdout.write(text)
     sys.stdout.flush()
 
 
-def _emit(args, command: str, result: dict, text_lines: list[str]) -> None:
+def _emit(args, result: dict, text: str) -> None:
+    """Write ``result`` in the JSON envelope of ``args.command``, or else ``text``.
+
+    ``text`` is the whole text output, ending in a newline.
+    """
     if args.json:
         envelope = {
             "schema_version": SCHEMA_VERSION,
-            "command": command,
+            "command": args.command,
             "result": result,
         }
-        _write(_canonical_json(envelope), "\n")
+        _write(_canonical_json(envelope) + "\n")
     else:
-        _write("\n".join(text_lines), "\n")
+        _write(text)
 
 
 def _parse_pretzel(text: str) -> PretzelKnot:
@@ -138,7 +141,7 @@ def _resolve_polynomial(args) -> tuple[LaurentPoly, int]:
 def cmd_alexander(args) -> int:
     poly, _ = _resolve_polynomial(args)
     result = {"alexander": poly.to_json(), "pretty": str(poly)}
-    _emit(args, "alexander", result, [str(poly)])
+    _emit(args, result, f"{poly}\n")
     return 0
 
 
@@ -153,8 +156,8 @@ def cmd_fibered(args) -> int:
         "failing": failing,
         "alexander": poly.to_json(),
     }
-    text = "true" if fibered else "false (" + "; ".join(failing) + ")"
-    _emit(args, "fibered", result, [text])
+    text = "true\n" if fibered else "false (" + "; ".join(failing) + ")\n"
+    _emit(args, result, text)
     return 0
 
 
@@ -173,16 +176,17 @@ def cmd_witness(args) -> int:
         "rank_mod_p": cw.rank % p,
     }
     strands = cw.witness.base.strands
-    text = [
-        f"prime: {p}",
-        f"m: {m} (m^2 = -1 mod {p})",
-        f"witness index: {n}",
-        f"pretzel: P({strands[0]}, {strands[1]}, {strands[2]})",
-        f"rank: {cw.rank}",
-        "factorization: " + " * ".join(f"{q}^{e}" if e > 1 else str(q) for q, e in cw.factorization),
-        f"rank mod {p}: {cw.rank % p}",
-    ]
-    _emit(args, "witness", result, text)
+    factors = " * ".join(f"{q}^{e}" if e > 1 else str(q) for q, e in cw.factorization)
+    text = (
+        f"prime: {p}\n"
+        f"m: {m} (m^2 = -1 mod {p})\n"
+        f"witness index: {n}\n"
+        f"pretzel: P({strands[0]}, {strands[1]}, {strands[2]})\n"
+        f"rank: {cw.rank}\n"
+        f"factorization: {factors}\n"
+        f"rank mod {p}: {cw.rank % p}\n"
+    )
+    _emit(args, result, text)
     return 0
 
 
@@ -203,11 +207,9 @@ def cmd_certificate(args) -> int:
     if args.json:
         result = cert.to_json()
         result["verified"] = bool(check)
-        _emit(args, "certificate", result, [])
+        _emit(args, result, "")
     else:
-        text = csv.rstrip("\n").split("\n")
-        text.append(f"verified: {'true' if check else 'false'}")
-        _emit(args, "certificate", {}, text)
+        _emit(args, {}, csv + f"verified: {'true' if check else 'false'}\n")
     if not check:
         return _report(check.reason, 1)
     return 0
@@ -242,16 +244,12 @@ def cmd_rank(args) -> int:
         "alexander": poly.to_json(),
         "pretty": str(poly),
     }
-    text = [
-        f"rank: {result['rank']}",
-        f"genus: {w.genus}",
-        f"alexander: {poly}",
-    ]
+    text = f"rank: {result['rank']}\ngenus: {w.genus}\nalexander: {poly}\n"
     if args.stab == 0:
         split = pretzel.hfk_bigraded(w)
         result["bigraded"] = [[g, r] for g, r in split]
-        text.append("bigraded: " + "  ".join(f"grading {g}: rank {r}" for g, r in split))
-    _emit(args, "rank", result, text)
+        text += "bigraded: " + "  ".join(f"grading {g}: rank {r}" for g, r in split) + "\n"
+    _emit(args, result, text)
     return 0
 
 
@@ -332,10 +330,11 @@ def cmd_selftest(args) -> int:
             failed = True
             break
         results.append({"name": name, "ok": True})
-    text = [
-        f"ok: {r['name']}" if r["ok"] else f"FAIL: {r['name']} ({r['detail']})" for r in results
-    ]
-    _emit(args, "selftest", {"checks": results, "ok": not failed}, text)
+    text = "".join(
+        f"ok: {r['name']}\n" if r["ok"] else f"FAIL: {r['name']} ({r['detail']})\n"
+        for r in results
+    )
+    _emit(args, {"checks": results, "ok": not failed}, text)
     return 1 if failed else 0
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Sequence
 
-from ._frozen import Frozen
+from ._frozen import Frozen, json_int
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -182,13 +182,10 @@ class LaurentPoly(Frozen):
             coeffs = data["coeffs"]
         except (KeyError, TypeError) as exc:
             raise ValueError("polynomial JSON needs 'lowest' and 'coeffs'") from exc
-        if not isinstance(lowest, int) or isinstance(lowest, bool):
-            raise ValueError("'lowest' must be an integer")
-        if not isinstance(coeffs, list) or any(
-            not isinstance(c, int) or isinstance(c, bool) for c in coeffs
-        ):
+        json_int(lowest, "'lowest'")
+        if not isinstance(coeffs, list):
             raise ValueError("'coeffs' must be a list of integers")
-        return cls(lowest, coeffs)
+        return cls(lowest, [json_int(c, "a 'coeffs' entry") for c in coeffs])
 
     def __str__(self) -> str:
         if not self.coeffs:

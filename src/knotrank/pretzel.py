@@ -7,7 +7,7 @@ trefoil connected sums.
 
 from __future__ import annotations
 
-from ._frozen import Frozen
+from ._frozen import Frozen, json_int
 from .laurent import LaurentPoly
 
 
@@ -98,9 +98,7 @@ class WitnessKnot(Frozen):
             stab = data.get("stab", 0)
         except (KeyError, TypeError) as exc:
             raise ValueError("witness JSON needs an 'index' field") from exc
-        if any(not isinstance(v, int) or isinstance(v, bool) for v in (index, stab)):
-            raise ValueError("'index' and 'stab' must be integers")
-        return cls(index, stab)
+        return cls(json_int(index, "'index'"), json_int(stab, "'stab'"))
 
 
 def witness(n: int) -> WitnessKnot:

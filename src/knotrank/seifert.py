@@ -16,7 +16,7 @@ from __future__ import annotations
 from math import isqrt
 from typing import Sequence
 
-from ._frozen import Frozen
+from ._frozen import Frozen, json_int
 from .laurent import LaurentPoly, NotUnitAtOne
 from .numtheory import is_prime
 
@@ -61,8 +61,7 @@ class SeifertMatrix(Frozen):
             entries = data["entries"]
         except (KeyError, TypeError) as exc:
             raise ValueError("Seifert matrix JSON needs 'size' and 'entries'") from exc
-        if not isinstance(size, int) or isinstance(size, bool):
-            raise ValueError("'size' must be an integer")
+        json_int(size, "'size'")
         if not isinstance(entries, list) or not all(isinstance(row, list) for row in entries):
             raise ValueError("'entries' must be a list of rows")
         matrix = cls.from_rows(entries)

@@ -211,21 +211,31 @@ def test_json_round_trip():
     assert LaurentPoly().to_json() == {"lowest": 0, "coeffs": []}
 
 
+MISSING = "polynomial JSON needs 'lowest' and 'coeffs'"
+MALFORMED = [
+    ({}, MISSING),
+    ({"lowest": 0}, MISSING),
+    ({"coeffs": [1]}, MISSING),
+    ({"lowest": "0", "coeffs": [1]}, "'lowest' must be an integer, got '0'"),
+    ({"lowest": 0, "coeffs": [1.5]}, "a 'coeffs' entry must be an integer, got 1.5"),
+    ({"lowest": 0, "coeffs": "abc"}, "'coeffs' must be a list of integers"),
+    ({"lowest": True, "coeffs": [1]}, "'lowest' must be an integer, got True"),
+    ({"lowest": 0, "coeffs": [True]}, "a 'coeffs' entry must be an integer, got True"),
+    (
+        {"lowest": [0] * 1000, "coeffs": [1]},
+        "'lowest' must be an integer, got [0, 0, 0, 0, 0, 0, ...]",
+    ),
+]
+
+
+# the ids pytest gives a lone ``data`` parameter, data0, data1, ...
 @pytest.mark.parametrize(
-    "data",
-    [
-        {},
-        {"lowest": 0},
-        {"coeffs": [1]},
-        {"lowest": "0", "coeffs": [1]},
-        {"lowest": 0, "coeffs": [1.5]},
-        {"lowest": 0, "coeffs": "abc"},
-        {"lowest": True, "coeffs": [1]},
-    ],
+    "data, message", MALFORMED, ids=[f"data{i}" for i in range(len(MALFORMED))]
 )
-def test_from_json_rejects_malformed(data):
-    with pytest.raises(ValueError):
+def test_from_json_rejects_malformed(data, message):
+    with pytest.raises(ValueError) as info:
         LaurentPoly.from_json(data)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize(

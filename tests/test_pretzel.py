@@ -172,6 +172,12 @@ def test_witness_json():
     }
     assert WitnessKnot.from_json(data) == w
     assert WitnessKnot.from_json({"index": 4}) == witness(4)
-    for malformed in ({"index": "4"}, {}):
-        with pytest.raises(ValueError):
+    for malformed, message in (
+        ({"index": "4"}, "'index' must be an integer, got '4'"),
+        ({}, "witness JSON needs an 'index' field"),
+        ({"index": 4, "stab": 1.0}, "'stab' must be an integer, got 1.0"),
+        ({"index": True}, "'index' must be an integer, got True"),
+    ):
+        with pytest.raises(ValueError) as info:
             WitnessKnot.from_json(malformed)
+        assert str(info.value) == message

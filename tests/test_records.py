@@ -7,7 +7,11 @@ record.
 """
 
 import copy
+import json
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -102,6 +106,49 @@ def test_pickle_and_copy_round_trip(record, fields, text):
     for clone in (copy.copy(record), copy.deepcopy(record)):
         assert type(clone) is type(record) and clone == record
         assert hash(clone) == hash(record)
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# Runs in a fresh interpreter (-I: no PYTHONPATH, no user site), where no
+# record has been compared yet.  It keeps every entry of each record
+# class's namespace, uses one record of each class every way a record is
+# used, and reports each entry that is no longer the same object.
+CLASS_PROBE = f"""
+import copy, json, pickle, sys
+sys.path.insert(0, {str(SRC)!r})
+from knotrank import *
+cw = certify(witness(2))
+records = [
+    LaurentPoly(-1, (1, 0, 2)), PretzelKnot(1, 2, 3), WitnessKnot(2),
+    SeifertMatrix(((1, 0), (1, 1))), cw, IndependenceCertificate((cw,), (5,), ((1,),)),
+    VerificationResult(False, "x"),
+]
+before = {{type(r): dict(vars(type(r))) for r in records}}
+for r in records:
+    twin = copy.copy(r)
+    assert r == twin and not r != twin and r != None and hash(r) == hash(twin)
+    assert {{r, twin, copy.deepcopy(r), pickle.loads(pickle.dumps(r))}} == {{r}}
+    repr(r)
+changed = sorted(
+    f"{{cls.__name__}}.{{name}}"
+    for cls, entries in before.items()
+    for name in entries.keys() | vars(cls).keys()
+    if entries.get(name) is not vars(cls).get(name)
+)
+print(json.dumps({{"classes": len(before), "changed": changed}}))
+"""
+
+
+def test_records_never_rewrite_their_classes():
+    # perfbench's traced pass checks that the package is restored by the
+    # identity of every class attribute, which holds only if using a
+    # record leaves its class as it was at import
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", CLASS_PROBE], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"classes": 7, "changed": []}
 
 
 def test_keyword_construction():
