@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 from . import characters, numtheory, pretzel, seifert
 from .characters import SearchExhausted
 from .laurent import LaurentPoly, NotUnitAtOne
-from .pretzel import PretzelKnot
+from .pretzel import PretzelKnot, WitnessKnot
 from .seifert import SeifertMatrix
 
 SCHEMA_VERSION = "1"
@@ -275,6 +275,20 @@ def _check_box_oracle(half_width: int) -> None:
                 via_formula = pretzel.alexander_closed_form(PretzelKnot(l, m, n))
                 if via_matrix != via_formula:
                     raise AssertionError(f"routes disagree at (l, m, n) = ({l}, {m}, {n})")
+    # Genus 2-6: a connected sum's Seifert matrix is the block sum of the
+    # summands' matrices, and its Alexander polynomial is their product.
+    trefoil = seifert.pretzel_seifert_matrix(0, 0, 0).entries
+    for n in range(1, 51):
+        for k in range(1, 6):
+            blocks = [seifert.pretzel_seifert_matrix(-n, n, n * n).entries] + [trefoil] * k
+            rows = [
+                [0] * (2 * b) + list(row) + [0] * (2 * (k - b))
+                for b, block in enumerate(blocks)
+                for row in block
+            ]
+            via_matrix = seifert.alexander_from_seifert(SeifertMatrix.from_rows(rows))
+            if via_matrix != pretzel.alexander_of_witness(WitnessKnot(n, k)):
+                raise AssertionError(f"routes disagree at witness index {n}, stab {k}")
 
 
 def _check_rank_formula() -> None:

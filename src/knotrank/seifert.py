@@ -1,18 +1,19 @@
 """Seifert matrices and the Alexander polynomial determinant pipeline.
 
-``alexander_from_seifert`` computes det(V - t*V^T) in O(n^3) for n = 2g.
-Since S = V - V^T is unimodular, V - t*V^T = S * (I + (1 - t) * M) with
-M = S^-1 * V^T, so the determinant is det(S) times a characteristic
-polynomial.  One modulus P above twice Hadamard's bound on the
-coefficients carries the whole computation: Gauss-Jordan elimination
-for M, a similarity reduction to upper Hessenberg form and the
-Hessenberg recurrence for the characteristic polynomial (Cohen, *A
-Course in Computational Algebraic Number Theory*, 2.2.4), then the
-symmetric residues, which are the exact coefficients.
+``alexander_from_seifert`` computes det(V - t*V^T) in O(n^3) for n = 2g:
+V - t*V^T = S * (I + (1 - t) * M) with S = V - V^T and M = S^-1 * V^T,
+so the determinant is det(S) times a characteristic polynomial.  One
+modulus P above twice Hadamard's bound on the coefficients carries the
+whole computation: Gauss-Jordan elimination for M, a similarity
+reduction to upper Hessenberg form and the Hessenberg recurrence for the
+characteristic polynomial (Cohen, *A Course in Computational Algebraic
+Number Theory*, 2.2.4), then the symmetric residues, which are the exact
+coefficients.  Their sum Delta(1) = det(S) tells whether V is a knot's.
 """
 
 from __future__ import annotations
 
+from itertools import count
 from math import isqrt
 from typing import Sequence
 
@@ -112,8 +113,6 @@ def det_int(rows: Sequence[Sequence[int]]) -> int:
     for row in rows:
         if len(row) != n:
             raise ValueError("matrix is not square")
-    if n == 2:  # genus-1 matrices: skip the elimination's setup
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
     rank, pivot = _eliminate(rows)
     return pivot if rank == n else 0
 
@@ -154,8 +153,10 @@ def _alexander_mod(e: Sequence[Sequence[int]], p: int) -> list[int]:
 
     Every step is a ring operation modulo p, and every division is by a
     pivot inverted modulo p, so the result is correct for any modulus
-    p >= 2, prime or not.  A pivot that is not a unit modulo p raises
-    ``ValueError``, and so does S = V - V^T singular modulo p.
+    p >= 2, prime or not.  ``NotUnitAtOne`` means S = V - V^T is singular
+    modulo p: with every earlier pivot a unit, p divides det(S), which is
+    then not +-1.  A plain ``ValueError`` means a pivot is nonzero but not
+    a unit, which needs a composite p.
     """
     n = len(e)
     # Gauss-Jordan on [S | -V^T] leaves [I | N] with N = -S^-1 * V^T.
@@ -169,7 +170,7 @@ def _alexander_mod(e: Sequence[Sequence[int]], p: int) -> list[int]:
         while r < n and not rows[r][c]:
             r += 1
         if r == n:
-            raise ValueError(f"V - V^T is singular modulo {p}")
+            raise NotUnitAtOne(f"V - V^T is singular modulo {p}")
         if r != c:
             rows[c], rows[r] = rows[r], rows[c]
             det_s = -det_s
@@ -231,41 +232,39 @@ def _alexander_mod(e: Sequence[Sequence[int]], p: int) -> list[int]:
 def alexander_from_seifert(V: SeifertMatrix) -> LaurentPoly:
     """Normalized Alexander polynomial via det(V - t*V^T).
 
-    Raises ``NotUnitAtOne`` unless det(V - V^T) = +-1.  At genus 1,
-    V = [[w, x], [y, z]] gives (wz - xy) * (1 + t^2) + (x^2 + y^2 - 2wz) * t
-    directly.  Above it the coefficients come from ``_alexander_mod``
-    modulo the first prime P > 2B, with B from ``_coefficient_bound``.
+    At genus 1, V = [[w, x], [y, z]] gives (wz - xy) * (1 + t^2) +
+    (x^2 + y^2 - 2wz) * t.  Above it the coefficients come from
+    ``_alexander_mod`` modulo the first prime P > 2B (``_coefficient_bound``).
+    Unless their sum det(V - V^T) is +-1, this raises ``NotUnitAtOne``.
 
     The result is exact whether or not P is prime: each step is a ring
     operation with a unit pivot, so the residues are those of the integer
-    coefficients, and since every coefficient lies in (-B, B) and P > 2B,
-    its symmetric residue is the coefficient itself.  A pivot that is
-    not a unit raises ``ValueError``, which moves the search on to the
-    next prime.
+    coefficients, each in (-B, B) with P > 2B, so the symmetric residues
+    and their sum are exact.  If S = V - V^T is singular modulo P, P
+    divides det(S), below B in size (the bound at z = 1), so det(S) = 0.
+    A non-unit pivot, which needs a composite P, moves on to the next prime.
     """
-    n = V.size
     e = V.entries
-    skew = [[e[i][j] - e[j][i] for j in range(n)] for i in range(n)]
-    d = det_int(skew)
-    if d not in (1, -1):
-        raise NotUnitAtOne(
-            f"det(V - V^T) = {d}; the matrix is not a Seifert matrix of a knot"
-        )
-    if n == 2:
+    if V.size == 2:
         (w, x), (y, z) = e
         det_v = w * z - x * y
-        return LaurentPoly(0, (det_v, x * x + y * y - 2 * w * z, det_v)).normalize()
-    p = 2 * _coefficient_bound(e) + 1
-    while True:
-        if is_prime(p):
-            try:
-                residues = _alexander_mod(e, p)
+        coeffs = (det_v, x * x + y * y - 2 * w * z, det_v)
+    else:
+        for p in count(2 * _coefficient_bound(e) + 1, 2):
+            if is_prime(p):
+                try:
+                    residues = _alexander_mod(e, p)
+                except NotUnitAtOne:
+                    residues = []  # det(V - V^T) = 0, the empty sum
+                except ValueError:
+                    continue
                 break
-            except ValueError:
-                pass
-        p += 2
-    half = p // 2
-    return LaurentPoly(0, [c - p if c > half else c for c in residues]).normalize()
+        half = p // 2
+        coeffs = [c - p if c > half else c for c in residues]
+    d = sum(coeffs)
+    if d not in (1, -1):
+        raise NotUnitAtOne(f"det(V - V^T) = {d}; the matrix is not a Seifert matrix of a knot")
+    return LaurentPoly(0, coeffs).normalize()
 
 
 def fiberedness(poly: LaurentPoly, genus: int) -> tuple[bool, list[str]]:
@@ -288,7 +287,7 @@ def fiberedness(poly: LaurentPoly, genus: int) -> tuple[bool, list[str]]:
 def is_homology_product(V: SeifertMatrix) -> bool:
     """True when the complementary sutured manifold of the surface is a homology product.
 
-    Equivalent to det(V) = +-1, and to ``fiberedness`` of the Alexander
-    polynomial computed from V at genus g.
+    Equivalent to det(V) = +-1, and for a knot's Seifert matrix, one with
+    det(V - V^T) = +-1, to ``fiberedness`` of its Alexander polynomial at genus g.
     """
     return det_int(V.entries) in (1, -1)

@@ -445,6 +445,14 @@ def test_selftest_names_sabotaged_rank_formula(capsys, monkeypatch):
     assert "FAIL: rank formula" in out
 
 
+def test_selftest_names_a_sabotaged_genus_two_route(capsys, monkeypatch):
+    # the polynomial 1 passes the det(V - V^T) check, so only the oracle catches it
+    monkeypatch.setattr("knotrank.seifert._alexander_mod", lambda e, p: [1] + [0] * len(e))
+    code, out, _ = run_cli(capsys, "selftest", "--fast")
+    assert code == 1
+    assert "FAIL: pretzel box oracle" in out
+
+
 def test_help_exits_zero(capsys):
     code, _, _ = run_cli(capsys, "--help")
     assert code == 0
@@ -471,6 +479,22 @@ def run_module(*argv, timeout):
         cwd=REPO_ROOT,
         timeout=timeout,
     )
+
+
+@pytest.mark.parametrize("command", ["alexander", "fibered"])
+@pytest.mark.parametrize(
+    "rows,det",
+    [
+        ([[1, 2, 0, 0], [2, 1, 0, 0], [0, 0, 3, 1], [0, 0, 1, 3]], 0),
+        ([[0, 2, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]], 4),
+    ],
+)
+def test_genus_two_non_knot_exits_one(tmp_path, command, rows, det):
+    # a modulus search that never ended would run into the timeout
+    proc = run_module(command, "--seifert", write_matrix(tmp_path, rows), timeout=60)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: det(V - V^T) = {det}; the matrix is not a Seifert matrix of a knot\n"
 
 
 def test_closed_stdout_exits_two_with_one_error_line():

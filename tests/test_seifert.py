@@ -2,7 +2,7 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy import ZZ, Poly, symbols
 from sympy.polys.matrices import DomainMatrix
@@ -429,3 +429,72 @@ def test_alexander_from_seifert_exact_with_composite_candidates(monkeypatch):
     expected = [alexander_from_seifert(SeifertMatrix.from_rows(rows)) for rows in matrices]
     monkeypatch.setattr(seifert, "is_prime", lambda x: True)
     assert [alexander_from_seifert(SeifertMatrix.from_rows(rows)) for rows in matrices] == expected
+
+
+def skew_det(rows):
+    """det(V - V^T) by the cofactor oracle."""
+    n = len(rows)
+    return d_det([[d_trim({0: rows[i][j] - rows[j][i]}) for j in range(n)] for i in range(n)]).get(0, 0)
+
+
+def not_a_knot(d):
+    return f"det(V - V^T) = {d}; the matrix is not a Seifert matrix of a knot"
+
+
+@st.composite
+def any_matrices(draw):
+    """Genus 2-3 matrices with entries in [-3, 3], knots or not."""
+    size = 2 * draw(st.integers(2, 3))
+    row = st.lists(st.integers(-3, 3), min_size=size, max_size=size)
+    return draw(st.lists(row, min_size=size, max_size=size))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(any_matrices())
+@example([[1, 2, 0, 0], [2, 1, 0, 0], [0, 0, 3, 1], [0, 0, 1, 3]])  # symmetric: det 0
+@example([[0, 2, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]])  # det 4
+@example([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1], [0, 0, 0, 1]])  # two trefoils
+def test_alexander_from_seifert_property_on_any_matrix(rows):
+    # det(V - V^T) is read off the coefficients; the oracle computes it apart
+    d = skew_det(rows)
+    try:
+        poly = alexander_from_seifert(SeifertMatrix.from_rows(rows))
+    except NotUnitAtOne as exc:
+        assert str(exc) == not_a_knot(d)
+        return
+    assert d in (1, -1)
+    assert poly.lowest == 0
+    assert list(poly.coeffs) == normalized(cofactor_seifert_det(rows))
+
+
+def block_sum(*blocks):
+    """The block-diagonal matrix with the given square blocks."""
+    size = sum(len(block) for block in blocks)
+    rows = []
+    for block in blocks:
+        at = len(rows)
+        rows += [[0] * at + list(row) + [0] * (size - at - len(row)) for row in block]
+    return rows
+
+
+def test_alexander_from_seifert_needs_no_bareiss_determinant(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("alexander_from_seifert ran a Bareiss elimination")
+
+    monkeypatch.setattr(seifert, "det_int", refuse)
+    monkeypatch.setattr(seifert, "_eliminate", refuse)
+    knots = [[[1, 1], [0, 1]], random_knot_matrix(random.Random(2), 3)]
+    non_knots = [
+        [[1, 0], [0, 1]],
+        [[0, 3], [1, 0]],
+        block_sum([[1, 2], [2, 1]], [[3, 1], [1, 3]], [[0, 0], [0, 0]]),
+        block_sum([[0, 2], [0, 0]], [[1, 1], [0, 1]], [[0, 0], [3, 0]]),
+    ]
+    for rows in knots:
+        poly = alexander_from_seifert(SeifertMatrix.from_rows(rows))
+        assert list(poly.coeffs) == normalized(cofactor_seifert_det(rows))
+    for rows in non_knots:
+        with pytest.raises(NotUnitAtOne) as info:
+            alexander_from_seifert(SeifertMatrix.from_rows(rows))
+        assert str(info.value) == not_a_knot(skew_det(rows))
+    assert [skew_det(rows) for rows in non_knots] == [0, 4, 0, 36]
