@@ -22,10 +22,6 @@ from .seifert import SeifertMatrix
 SCHEMA_VERSION = "1"
 
 
-class InputError(ValueError):
-    """Malformed command input; maps to exit code 2."""
-
-
 def _canonical_json(value) -> str:
     """``json.dumps(value, sort_keys=True, indent=2)``, byte for byte.
 
@@ -98,17 +94,14 @@ def _emit(args, result: dict, text: str) -> None:
 def _parse_pretzel(text: str) -> PretzelKnot:
     parts = text.split(",")
     if len(parts) != 3:
-        raise InputError(
+        raise ValueError(
             f"--pretzel needs three comma-separated strand values, got {text!r}"
         )
     try:
         strands = [int(v) for v in parts]
     except ValueError:
-        raise InputError(f"strand values must be integers, got {text!r}") from None
-    try:
-        return PretzelKnot.from_strands(*strands)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+        raise ValueError(f"strand values must be integers, got {text!r}") from None
+    return PretzelKnot.from_strands(*strands)
 
 
 def _load_seifert(path: str) -> SeifertMatrix:
@@ -118,15 +111,12 @@ def _load_seifert(path: str) -> SeifertMatrix:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from None
+        raise ValueError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
-        raise InputError(f"{path} is not valid JSON: {exc}") from None
+        raise ValueError(f"{path} is not valid JSON: {exc}") from None
     except RecursionError:
-        raise InputError(f"{path} is nested too deeply to parse") from None
-    try:
-        return SeifertMatrix.from_json(data)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+        raise ValueError(f"{path} is nested too deeply to parse") from None
+    return SeifertMatrix.from_json(data)
 
 
 def _resolve_polynomial(args) -> tuple[LaurentPoly, int]:
@@ -192,9 +182,9 @@ def cmd_witness(args) -> int:
 
 def cmd_certificate(args) -> int:
     if args.count < 1:
-        raise InputError(f"--count must be >= 1, got {args.count}")
+        raise ValueError(f"--count must be >= 1, got {args.count}")
     if args.search_limit < 1:
-        raise InputError(f"--search-limit must be >= 1, got {args.search_limit}")
+        raise ValueError(f"--search-limit must be >= 1, got {args.search_limit}")
     cert = characters.build_certificate(args.count, args.search_limit)
     check = characters.verify_certificate(cert)
     csv = cert.to_csv() if args.csv or not args.json else ""
@@ -203,7 +193,7 @@ def cmd_certificate(args) -> int:
             with open(args.csv, "w", encoding="utf-8") as fh:
                 fh.write(csv)
         except OSError as exc:
-            raise InputError(f"cannot write {args.csv}: {exc}") from None
+            raise ValueError(f"cannot write {args.csv}: {exc}") from None
     if args.json:
         result = cert.to_json()
         result["verified"] = bool(check)
@@ -217,9 +207,9 @@ def cmd_certificate(args) -> int:
 
 def cmd_rank(args) -> int:
     if args.index < 1:
-        raise InputError(f"--index must be >= 1, got {args.index}")
+        raise ValueError(f"--index must be >= 1, got {args.index}")
     if args.stab < 0:
-        raise InputError(f"--stab must be >= 0, got {args.stab}")
+        raise ValueError(f"--stab must be >= 0, got {args.stab}")
     # The coefficients of (1 - t + t^2)^K are, up to sign, those of
     # (1 + t + t^2)^K: 2K + 1 of them, summing to 3^K in absolute value.
     # So the largest is at least 3^K / (2K + 1), and once that bound has
@@ -227,7 +217,7 @@ def cmd_rank(args) -> int:
     # the rounding of the logarithms), printing the polynomial must fail.
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # no limit before 3.10.7
     if limit and args.stab > (limit + 1 + math.log10(2 * args.stab + 1)) / math.log10(3):
-        raise InputError(
+        raise ValueError(
             f"--stab {args.stab} is too large: the Alexander polynomial would have "
             f"coefficients of more than {limit} digits, the limit for integer "
             "string conversion (PYTHONINTMAXSTRDIGITS raises it)"
@@ -256,14 +246,6 @@ def cmd_rank(args) -> int:
 # -- selftest ------------------------------------------------------------
 
 
-def _check_closed_form() -> None:
-    expected = LaurentPoly(0, (1, -1, 1))
-    for n in range(1, 201):
-        got = pretzel.alexander_closed_form(pretzel.witness(n).base)
-        if got != expected:
-            raise AssertionError(f"witness {n}: closed form gave {got}")
-
-
 def _check_box_oracle(half_width: int) -> None:
     span = range(-half_width, half_width + 1)
     for l in span:
@@ -275,11 +257,12 @@ def _check_box_oracle(half_width: int) -> None:
                 via_formula = pretzel.alexander_closed_form(PretzelKnot(l, m, n))
                 if via_matrix != via_formula:
                     raise AssertionError(f"routes disagree at (l, m, n) = ({l}, {m}, {n})")
-    # Genus 2-6: a connected sum's Seifert matrix is the block sum of the
-    # summands' matrices, and its Alexander polynomial is their product.
+    # Witnesses of genus 1-6: a connected sum's Seifert matrix is the block
+    # sum of the summands' matrices, and its Alexander polynomial is their
+    # product.  At k = 0 the witness's own matrix meets the closed form.
     trefoil = seifert.pretzel_seifert_matrix(0, 0, 0).entries
     for n in range(1, 51):
-        for k in range(1, 6):
+        for k in range(6):
             blocks = [seifert.pretzel_seifert_matrix(-n, n, n * n).entries] + [trefoil] * k
             rows = [
                 [0] * (2 * b) + list(row) + [0] * (2 * (k - b))
@@ -291,26 +274,11 @@ def _check_box_oracle(half_width: int) -> None:
                 raise AssertionError(f"routes disagree at witness index {n}, stab {k}")
 
 
-def _check_rank_formula() -> None:
-    for n in range(1, 101):
-        w = pretzel.witness(n)
-        r = pretzel.hfk_top_rank(w)
-        if r != 2 * n * n - 2 * n + 1:
-            raise AssertionError(f"index {n}: rank {r} != {2 * n * n - 2 * n + 1}")
-        split = pretzel.hfk_bigraded(w)
-        if split != [(1, n * n - n), (2, n * n - n + 1)]:
-            raise AssertionError(f"index {n}: bigraded split {split} is wrong")
-        if sum(c for _, c in split) != r:
-            raise AssertionError(f"index {n}: bigraded ranks do not sum to {r}")
-
-
 def _check_witnesses(limit: int) -> None:
     for p in numtheory.primes_one_mod_four(limit):
         cw = characters.witness_for_prime(p)
         if cw.rank % p != 0:
             raise AssertionError(f"prime {p}: witness rank {cw.rank} is not divisible")
-        if characters.prime_component(cw.witness, p) < 1:
-            raise AssertionError(f"prime {p}: prime component vanished")
 
 
 def _check_certificate(rows: int) -> None:
@@ -325,9 +293,7 @@ def _selftest_checks(fast: bool):
     prime_limit = 1_000 if fast else 10_000
     rows = 10 if fast else 25
     return [
-        ("closed form", _check_closed_form),
         ("pretzel box oracle", lambda: _check_box_oracle(half_width)),
-        ("rank formula", _check_rank_formula),
         ("witness verification", lambda: _check_witnesses(prime_limit)),
         ("certificate", lambda: _check_certificate(rows)),
     ]
@@ -484,14 +450,14 @@ def _run(argv: list[str]) -> int:
             return exc.code if isinstance(exc.code, int) else 2
         return args.func(args)
     except OSError as exc:
-        # commands turn every other OSError into an InputError, so this
+        # commands turn every other OSError into a ValueError, so this
         # one is _write's, to a closed or full standard output
         return _report(f"cannot write to standard output: {exc}", 2)
     except NotUnitAtOne as exc:
         return _report(str(exc), 1)
     except SearchExhausted as exc:
         return _report(str(exc), 3)
-    except (InputError, ValueError) as exc:
+    except ValueError as exc:
         return _report(str(exc), 2)
 
 

@@ -146,11 +146,11 @@ def _small_primes() -> tuple[int, ...]:
 def _pollard_rho(n: int) -> int:
     """A nontrivial factor of an odd composite n, Brent's cycle variant.
 
+    n is always odd: ``factorize`` divides out every prime below 10,000
+    before ``_factor_completely`` runs, so no factor it splits is even.
     Deterministic: the polynomial offset starts at 1 and is bumped until
     a factor splits.
     """
-    if n % 2 == 0:
-        return 2
     for c in range(1, n):
         y = 2
         r = 1

@@ -16,6 +16,8 @@ from sympy import isprime
 
 from cli_calls import run_calls
 from knotrank import characters, cli, pretzel
+from knotrank.pretzel import PretzelKnot
+from knotrank.seifert import SeifertMatrix
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -95,9 +97,11 @@ def test_alexander_from_seifert_file(capsys, tmp_path):
 
 
 def test_alexander_rejects_even_strand(capsys):
-    code, _, err = run_cli(capsys, "alexander", "--pretzel", "2,3,5")
+    code, _, err = run_cli(capsys, "alexander", "--pretzel", "2,3,3")
     assert code == 2
-    assert "even" in err
+    with pytest.raises(ValueError) as exc:
+        PretzelKnot.from_strands(2, 3, 3)
+    assert err == f"error: {exc.value}\n"
 
 
 def test_alexander_rejects_malformed_strands(capsys):
@@ -154,7 +158,9 @@ def test_malformed_seifert_envelope_exits_two(capsys, tmp_path, payload, command
     code, out, err = run_cli(capsys, command, "--seifert", str(path))
     assert code == 2
     assert out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
+    with pytest.raises(ValueError) as exc:
+        SeifertMatrix.from_json(payload)
+    assert err == f"error: {exc.value}\n"
 
 
 json_scalars = (
@@ -426,8 +432,7 @@ def test_selftest_fast_passes_quickly(capsys):
     elapsed = time.perf_counter() - start
     assert code == 0
     assert elapsed < 5.0
-    for name in ("closed form", "pretzel box oracle", "rank formula", "witness verification", "certificate"):
-        assert f"ok: {name}" in out
+    assert out == "ok: pretzel box oracle\nok: witness verification\nok: certificate\n"
 
 
 def test_selftest_json_envelope(capsys):
@@ -435,14 +440,34 @@ def test_selftest_json_envelope(capsys):
     assert code == 0
     result = envelope["result"]
     assert result["ok"] is True
-    assert [c["ok"] for c in result["checks"]] == [True] * 5
+    assert result["checks"] == [
+        {"name": name, "ok": True}
+        for name in ("pretzel box oracle", "witness verification", "certificate")
+    ]
 
 
-def test_selftest_names_sabotaged_rank_formula(capsys, monkeypatch):
+def test_selftest_names_sabotaged_rank(capsys, monkeypatch):
     monkeypatch.setattr("knotrank.pretzel.hfk_top_rank", lambda w: 999)
     code, out, _ = run_cli(capsys, "selftest", "--fast")
     assert code == 1
-    assert "FAIL: rank formula" in out
+    assert "FAIL: witness verification" in out
+
+
+def test_selftest_box_oracle_checks_witnesses_outside_the_fast_box(capsys, monkeypatch):
+    # the bases (-i, i, i^2) with i >= 3 lie outside the --fast box (half width 6),
+    # so only the oracle's witness block sums reach them
+    closed_form = pretzel.alexander_closed_form
+
+    def sabotaged(knot):
+        i = knot.m
+        if i >= 3 and (knot.l, knot.n) == (-i, i * i):
+            return closed_form(knot) * closed_form(knot)
+        return closed_form(knot)
+
+    monkeypatch.setattr("knotrank.pretzel.alexander_closed_form", sabotaged)
+    code, out, _ = run_cli(capsys, "selftest", "--fast")
+    assert code == 1
+    assert "FAIL: pretzel box oracle" in out
 
 
 def test_selftest_names_a_sabotaged_genus_two_route(capsys, monkeypatch):
@@ -859,8 +884,8 @@ def command_mix(tmp_path_factory):
         ["frobnicate"],
         ["--help"],
         ["certificate", "--help"],
-        ["alexander", "--pretzel", "2,3,3"],  # InputError
-        ["fibered", "--seifert", str(tmp / "missing.json")],  # InputError
+        ["alexander", "--pretzel", "2,3,3"],  # ValueError from the library
+        ["fibered", "--seifert", str(tmp / "missing.json")],  # ValueError from the CLI
         ["certificate", "--count", "5", "--search-limit", "3"],  # search exhaustion
     ]
 
