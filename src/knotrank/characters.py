@@ -9,6 +9,7 @@ those characters triangular with nonzero diagonal, hence of full rank.
 
 from __future__ import annotations
 
+from math import isqrt
 from typing import Optional
 
 from . import numtheory, pretzel
@@ -181,11 +182,90 @@ def _evaluation_matrix(witnesses, primes) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, rows))
 
 
+# The rank sieve's primes stay below this cap, so its memory is bounded
+# for every accepted search limit.  A cofactor it leaves at or above the
+# square of the cap may be composite and goes to ``numtheory.factorize``.
+SIEVE_PRIME_CAP = 1 << 20
+# Blocks of witness indices start this long and double up to the maximum,
+# so a short certificate sieves few indices whatever its search limit.
+_FIRST_BLOCK = 64
+_MAX_BLOCK = 1 << 14
+
+
+class _RankSieve:
+    """Factors the witness ranks of a block of indices at a time.
+
+    The rank r(n) = 2n^2 - 2n + 1 is odd and 2r = (2n - 1)^2 + 1, so
+    each of its prime factors p is 1 (mod 4), and p divides r(n) exactly
+    when n = n0 or n = 1 - n0 (mod p), where n0 = ``witness_index(p)``:
+    the witness construction run in reverse.  A block is sieved with the
+    two roots of each such prime up to the square root of its largest
+    rank (and below ``SIEVE_PRIME_CAP``), dividing p out at each hit;
+    whatever is left below the square of that bound is 1 or a prime.
+    This is the polynomial-value sieve of the quadratic sieve.
+    """
+
+    def __init__(self) -> None:
+        self.primes: list[int] = []  # the primes 1 (mod 4) up to self.top, ascending
+        self.roots: list[tuple[int, int]] = []  # for each, the n mod p with p | r(n)
+        self.top = 1
+
+    def block(self, lo: int, hi: int) -> list[tuple[int, list[PrimePower]]]:
+        """``(rank, factorization)`` for each witness index lo..hi-1, 1 <= lo < hi."""
+        bound = min(isqrt(2 * (hi - 1) * (hi - 2) + 1), SIEVE_PRIME_CAP - 1)
+        if bound > self.top:
+            # doubling keeps the total cost of the re-sieves linear
+            self.top = min(max(bound, 2 * self.top), SIEVE_PRIME_CAP - 1)
+            for p in numtheory.primes_one_mod_four(self.top)[len(self.primes) :]:
+                n0 = numtheory.witness_index(p) % p
+                self.primes.append(p)
+                self.roots.append((n0, (1 - n0) % p))
+        ranks = [2 * n * n - 2 * n + 1 for n in range(lo, hi)]
+        left = ranks.copy()
+        factors: list[list[PrimePower]] = [[] for _ in ranks]
+        for p, pair in zip(self.primes, self.roots):
+            if p > bound:
+                break
+            for root in pair:
+                for i in range((root - lo) % p, hi - lo, p):
+                    c = left[i] // p
+                    e = 1
+                    while c % p == 0:
+                        c //= p
+                        e += 1
+                    left[i] = c
+                    factors[i].append(PrimePower(p, e))
+        proven = (bound + 1) ** 2  # a composite cofactor has two factors above bound
+        for c, fs in zip(left, factors):
+            if c >= proven:
+                fs += numtheory.factorize(c)
+            elif c > 1:
+                fs.append(PrimePower(c, 1))
+        return list(zip(ranks, factors))
+
+
+def _factored_ranks(search_limit: int):
+    """Yield ``(n, (rank, factorization))`` for n = 1..search_limit, in order.
+
+    The blocks start short and double up to a fixed length, so a caller
+    that stops early has sieved few indices, whatever the search limit.
+    """
+    sieve = _RankSieve()
+    lo, size = 1, _FIRST_BLOCK
+    while lo <= search_limit:
+        hi = min(lo + size, search_limit + 1)
+        yield from zip(range(lo, hi), sieve.block(lo, hi))
+        lo, size = hi, min(2 * size, _MAX_BLOCK)
+
+
 def build_certificate(count: int, search_limit: int) -> IndependenceCertificate:
     """Greedy certificate over witness indices 1..search_limit.
 
     A witness is kept iff its max prime strictly exceeds the last kept
     one (rank-1 witnesses never qualify), until ``count`` are collected.
+    Each kept witness equals ``certify(witness(n))``, but the ranks are
+    sieved a block of indices at a time (``_RankSieve``), not factored
+    one by one, and the sieve stops with the block of the last witness.
     The result is not verified here; pass it to ``verify_certificate``.
     Every rank in the range must be below ``numtheory.PRIMALITY_BOUND``.
     """
@@ -200,11 +280,10 @@ def build_certificate(count: int, search_limit: int) -> IndependenceCertificate:
         )
     kept: list[CertifiedWitness] = []
     last = 1
-    for index in range(1, search_limit + 1):
-        cw = certify(pretzel.witness(index))
-        if cw.max_prime > last:
-            kept.append(cw)
-            last = cw.max_prime
+    for index, (rank, factors) in _factored_ranks(search_limit):
+        if factors and factors[-1].prime > last:
+            last = factors[-1].prime
+            kept.append(CertifiedWitness(pretzel.witness(index), rank, tuple(factors), last))
             if len(kept) == count:
                 break
     else:

@@ -22,13 +22,20 @@ from .seifert import SeifertMatrix
 SCHEMA_VERSION = "1"
 
 
+# bytes 0..9 to the ASCII digits, for single-digit rows (see _canonical_json)
+_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
+
+
 def _canonical_json(value) -> str:
     """``json.dumps(value, sort_keys=True, indent=2)``, byte for byte.
 
     Dictionary keys must be strings, as every envelope's are.  With an
     indent, ``json.dumps`` encodes in a pure-Python loop, one value at a
-    time; here a list whose entries are all exactly ``int`` (a matrix
-    row, a factorization pair) is joined in a single ``str.join``.
+    time; here an exact ``int`` is its ``int.__repr__``, and a list whose
+    entries are all exactly ``int`` (a matrix row, a factorization pair)
+    is joined in a single ``str.join``.  When those entries all lie in
+    0..9, as nearly every entry of an evaluation matrix does, the digits
+    come from one ``bytes.translate``, with no Python call per entry.
     ``json`` is imported here, not with the module, because text output
     never needs it; the encoder is a closure over the imports because an
     import statement in the recursion runs once per value, which made
@@ -38,6 +45,11 @@ def _canonical_json(value) -> str:
     from json.encoder import encode_basestring_ascii
 
     def encode(value, pad: str) -> str:
+        kind = type(value)
+        if kind is int:
+            return int.__repr__(value)
+        if kind is str:
+            return encode_basestring_ascii(value)
         if isinstance(value, dict):
             if not value:
                 return "{}"
@@ -51,13 +63,13 @@ def _canonical_json(value) -> str:
             if not value:
                 return "[]"
             inner = pad + "  "
-            if {*map(type, value)} == {int}:
-                body = ("," + inner).join(map(str, value))
-            else:
+            if {*map(type, value)} != {int}:
                 body = ("," + inner).join(encode(v, inner) for v in value)
+            elif 0 <= min(value) and max(value) <= 9:
+                body = ("," + inner).join(bytes(value).translate(_DIGITS).decode())
+            else:
+                body = ("," + inner).join(map(str, value))
             return "[" + inner + body + pad + "]"
-        if type(value) is str:
-            return encode_basestring_ascii(value)
         return json.dumps(value)
 
     return encode(value, "\n")

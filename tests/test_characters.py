@@ -1,11 +1,13 @@
 import random
 import time
+from functools import lru_cache
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from sympy import isprime, nextprime
+from sympy import factorint, isprime, nextprime
 
+from knotrank import characters, numtheory
 from knotrank.characters import (
     CertifiedWitness,
     IndependenceCertificate,
@@ -123,6 +125,156 @@ def test_build_certificate_rejects_bad_arguments():
         build_certificate(0, 10)
     with pytest.raises(ValueError):
         build_certificate(1, 0)
+
+
+def rank_of(n):
+    return 2 * n * n - 2 * n + 1
+
+
+def sympy_factorization(r):
+    return sorted(factorint(r).items())
+
+
+@lru_cache(maxsize=1)
+def shared_sieve():
+    # one sieve for every example: near index 10^9 it needs every prime
+    # below the cap, and those are found once
+    return characters._RankSieve()
+
+
+def crossing_block(i, reaches, width):
+    # n is the first index whose rank reaches p^2, p the i-th prime = 1 (mod 4):
+    # a block that reaches n sieves with p, one that ends just before it does not
+    p = primes_one_mod_four(2000)[i]
+    n = next(n for n in range(1, p + 1) if rank_of(n) >= p * p)
+    hi = n + 1 if reaches else max(n, 2)
+    return max(1, hi - 1 - width), hi
+
+
+blocks = st.tuples(st.integers(1, 3000), st.integers(1, 300)).map(
+    lambda t: (t[0], t[0] + t[1])
+) | st.builds(crossing_block, st.integers(0, 140), st.booleans(), st.integers(0, 40))
+
+
+def assert_block_matches_oracles(lo, hi, block):
+    assert len(block) == hi - lo
+    for n, (rank, factors) in zip(range(lo, hi), block):
+        assert rank == rank_of(n)
+        assert factors == sympy_factorization(rank)
+        assert all(type(f) is PrimePower for f in factors)
+        max_prime = factors[-1].prime if factors else 1
+        record = CertifiedWitness(witness(n), rank, tuple(factors), max_prime)
+        assert record == certify(witness(n))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(blocks)
+@example((1, 2))  # rank 1 alone
+@example((1, 5))  # rank(4) = 25 = 5^2: the bound reaches 5 exactly
+@example((1, 4))  # without index 4 the bound is 3, and 5 and 13 are left over
+@example((21, 22))  # rank(21) = 841 = 29^2
+@example((697, 698))  # rank(697) = 985^2 = 5^2 * 197^2
+@example((60, 70))  # across the end of the first block of _factored_ranks
+@example((741_455, 741_460))  # ranks pass the square of the prime cap
+def test_rank_sieve_block_matches_sympy_and_certify(lo_hi):
+    lo, hi = lo_hi
+    assert_block_matches_oracles(lo, hi, shared_sieve().block(lo, hi))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.integers(1, 10**9), st.integers(1, 12))
+def test_rank_sieve_far_blocks_match_sympy(lo, width):
+    # ranks up to 2 * 10^18: the capped primes and factorize on the cofactors
+    assert_block_matches_oracles(lo, lo + width, shared_sieve().block(lo, lo + width))
+
+
+def test_rank_sieve_is_independent_of_block_boundaries():
+    # the block schedule 64, 128, 256, ... and a search limit cut short
+    expected = [(rank_of(n), sympy_factorization(rank_of(n))) for n in range(1, 2001)]
+    assert [v for _, v in characters._factored_ranks(2000)] == expected
+    for limit in (1, 63, 64, 65, 66, 192, 193, 194, 448, 449, 450, 960, 961):
+        got = list(characters._factored_ranks(limit))
+        assert [n for n, _ in got] == list(range(1, limit + 1))
+        assert [v for _, v in got] == expected[:limit]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.sampled_from([6, 14, 30, 100]), st.integers(1, 10**6), st.integers(1, 30))
+@example(6, 1, 200)
+def test_rank_sieve_sends_cofactors_above_the_capped_bound_to_factorize(cap, lo, width):
+    calls = []
+    factorize = numtheory.factorize
+
+    def counted(x):
+        calls.append(x)
+        return factorize(x)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(characters, "SIEVE_PRIME_CAP", cap)
+        mp.setattr(numtheory, "factorize", counted)
+        sieve = characters._RankSieve()
+        block = sieve.block(lo, lo + width)
+    assert_block_matches_oracles(lo, lo + width, block)
+    assert all(p < cap for p in sieve.primes)
+    assert all(c >= cap * cap for c in calls)
+    if (cap, lo, width) == (6, 1, 200):  # only 5 is sieved: 221 = 13 * 17 is left
+        assert 221 in calls
+
+
+def test_rank_sieve_needs_no_factorize_below_the_cap(monkeypatch):
+    def refuse(x):
+        raise AssertionError(f"factorize({x}) called")
+
+    monkeypatch.setattr(numtheory, "factorize", refuse)
+    monkeypatch.setattr(characters, "certify", refuse)
+    assert len(build_certificate(2000, 100_000).witnesses) == 2000
+
+
+@lru_cache(maxsize=1)
+def oracle_max_primes():
+    # index n -> largest prime of rank(n), by sympy, for n up to 2400
+    return [0] + [max(factorint(rank_of(n)), default=1) for n in range(1, 2401)]
+
+
+def greedy_oracle(count, limit):
+    max_primes = oracle_max_primes()
+    kept = []
+    for n in range(1, limit + 1):
+        if max_primes[n] > (max_primes[kept[-1]] if kept else 1):
+            kept.append(n)
+            if len(kept) == count:
+                break
+    return kept
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(1, 200), st.integers(1, 2400))
+@example(200, 1092)
+@example(200, 1091)
+@example(25, 116)
+@example(25, 115)
+@example(1, 1)
+@example(1, 2)
+def test_build_certificate_equals_a_greedy_scan_over_sympy(count, limit):
+    kept = greedy_oracle(count, limit)
+    if len(kept) < count:
+        with pytest.raises(SearchExhausted, match=f"found only {len(kept)} of {count} "):
+            build_certificate(count, limit)
+        return
+    cert = build_certificate(count, limit)
+    assert [cw.witness.index for cw in cert.witnesses] == kept
+    assert list(cert.selected_primes) == [oracle_max_primes()[n] for n in kept]
+    for cw in cert.witnesses:
+        assert list(cw.factorization) == sympy_factorization(cw.rank)
+
+
+def test_build_certificate_huge_search_limit_small_count_is_fast():
+    # the sieve's blocks start short: five rows need the first 64 indices,
+    # not a prime table for indices up to the search limit
+    start = time.perf_counter()
+    cert = build_certificate(5, 1287836182261)
+    assert time.perf_counter() - start < 0.5
+    assert cert == build_certificate(5, 100)
 
 
 def test_certificate_matrix_is_triangular_with_positive_diagonal():

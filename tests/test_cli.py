@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -47,6 +48,8 @@ json_values = st.recursive(
     lambda children: st.lists(children)
     | st.lists(children).map(tuple)
     | st.lists(st.integers(-(2**100), 2**100) | st.booleans())
+    | st.lists(st.integers(-1, 11))
+    | st.lists(st.integers(-1, 11)).map(tuple)
     | st.dictionaries(st.text(), children),
     max_leaves=30,
 )
@@ -60,6 +63,12 @@ json_values = st.recursive(
 @example((2**64, -(2**65), 0))
 @example("\u2603\x00\ud800")
 @example(float("nan"))
+@example([0, 9])  # single digits: one translate
+@example([9, 10])  # a two-digit entry
+@example([0, True])  # a bool is not an exact int
+@example([-1, 0])  # a negative entry
+@example((0,) * 300)
+@example([255, 256])  # past the byte range
 def test_canonical_json_matches_json_dumps(value):
     assert cli._canonical_json(value) == json.dumps(value, sort_keys=True, indent=2)
 
@@ -377,6 +386,47 @@ def test_certificate_writes_csv(capsys, tmp_path):
     )
     assert code == 0
     assert path.read_text() == "prime,witness_2,witness_3\n5,1,0\n13,0,1\n"
+
+
+# sha256 of the v1 output of `certificate --count C --search-limit L --json
+# --csv PATH`: standard output, then the CSV file.  Any change to a byte of
+# either, the dense matrix included, is a change to the v1 format.
+V1_CERTIFICATE_SHA256 = {
+    (25, 116): (
+        "8dd94803f333588f77f32b3b32c8e09b2fac1898312cd3c60eed961de3d269de",
+        "89ccdb7c7bf85765190c49f0b5cef72c5234ae6cba86ffa89118869b679e5827",
+    ),
+    (200, 1092): (
+        "11ec09fbacb4c713197968d12ab508a657610444e26f0532864519f493c59e87",
+        "b76ebb46dbb7cc356f4fe3c766e72c0ddeffab2978074b885df78fe42404727d",
+    ),
+    (1000, 20000): (
+        "e1a56ae0ebaf5a0b7bea2f107be7a9a3004ed51561560c46c10cef4bd84d2f79",
+        "70b02e649c1789cf7fec776ff3cdec0cdb390ec923aab403ae8cec98b695cfba",
+    ),
+}
+
+
+@pytest.mark.parametrize("count,limit", sorted(V1_CERTIFICATE_SHA256))
+def test_certificate_v1_output_is_pinned_byte_for_byte(capsys, tmp_path, count, limit):
+    path = tmp_path / "matrix.csv"
+    code, out, err = run_cli(
+        capsys,
+        "certificate",
+        "--count",
+        str(count),
+        "--search-limit",
+        str(limit),
+        "--json",
+        "--csv",
+        str(path),
+    )
+    assert (code, err) == (0, "")
+    digests = (
+        hashlib.sha256(out.encode()).hexdigest(),
+        hashlib.sha256(path.read_bytes()).hexdigest(),
+    )
+    assert digests == V1_CERTIFICATE_SHA256[count, limit]
 
 
 def test_certificate_text_output_ends_with_verified(capsys):
