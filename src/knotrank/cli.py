@@ -31,48 +31,84 @@ def _canonical_json(value) -> str:
 
     Dictionary keys must be strings, as every envelope's are.  With an
     indent, ``json.dumps`` encodes in a pure-Python loop, one value at a
-    time; here an exact ``int`` is its ``int.__repr__``, and a list whose
-    entries are all exactly ``int`` (a matrix row, a factorization pair)
-    is joined in a single ``str.join``.  When those entries all lie in
-    0..9, as nearly every entry of an evaluation matrix does, the digits
-    come from one ``bytes.translate``, with no Python call per entry.
-    ``json`` is imported here, not with the module, because text output
-    never needs it; the encoder is a closure over the imports because an
-    import statement in the recursion runs once per value, which made
-    a 150-row certificate's envelope a third slower.
+    time.  Here, as in ``json.encoder._make_iterencode``, every piece of
+    the text is appended to one list, which a single ``str.join`` turns
+    into the result, so no piece is copied once per nesting level.  An
+    exact ``int`` is its ``int.__repr__``, and a dictionary's ``int`` and
+    ``str`` values are written in place, with no call per value.  A list
+    whose entries are all exactly ``int`` (a matrix row, a factorization
+    pair) is one piece.  When those entries all lie in 0..9, as nearly
+    every entry of an evaluation matrix does, the piece is a template of
+    separator-and-``0`` units whose digit bytes are overwritten by one
+    strided slice assignment of ``bytes(value).translate(...)``, with no
+    Python step per entry.  ``json`` is imported here, not with the
+    module, because text output never needs it; the encoders are
+    closures over the imports because an import statement in the
+    recursion runs once per value, which made a 150-row certificate's
+    envelope a third slower.
     """
     import json
     from json.encoder import encode_basestring_ascii
 
-    def encode(value, pad: str) -> str:
+    pieces: list[str] = []
+    append = pieces.append
+
+    def encode(value, pad: str) -> None:
         kind = type(value)
         if kind is int:
-            return int.__repr__(value)
-        if kind is str:
-            return encode_basestring_ascii(value)
-        if isinstance(value, dict):
-            if not value:
-                return "{}"
-            inner = pad + "  "
-            body = ("," + inner).join(
-                encode_basestring_ascii(k) + ": " + encode(v, inner)
-                for k, v in sorted(value.items())
-            )
-            return "{" + inner + body + pad + "}"
-        if isinstance(value, (list, tuple)):
-            if not value:
-                return "[]"
-            inner = pad + "  "
-            if {*map(type, value)} != {int}:
-                body = ("," + inner).join(encode(v, inner) for v in value)
-            elif 0 <= min(value) and max(value) <= 9:
-                body = ("," + inner).join(bytes(value).translate(_DIGITS).decode())
-            else:
-                body = ("," + inner).join(map(str, value))
-            return "[" + inner + body + pad + "]"
-        return json.dumps(value)
+            append(int.__repr__(value))
+        elif kind is str:
+            append(encode_basestring_ascii(value))
+        elif isinstance(value, dict):
+            encode_dict(value, pad)
+        elif isinstance(value, (list, tuple)):
+            encode_list(value, pad)
+        else:
+            append(json.dumps(value))
 
-    return encode(value, "\n")
+    def encode_dict(value: dict, pad: str) -> None:
+        if not value:
+            append("{}")
+            return
+        inner = pad + "  "
+        sep = "," + inner
+        lead = "{" + inner
+        for key, item in sorted(value.items()):
+            append(lead + encode_basestring_ascii(key) + ": ")
+            lead = sep
+            kind = type(item)
+            if kind is int:
+                append(int.__repr__(item))
+            elif kind is str:
+                append(encode_basestring_ascii(item))
+            else:
+                encode(item, inner)
+        append(pad + "}")
+
+    def encode_list(value, pad: str) -> None:
+        if not value:
+            append("[]")
+            return
+        inner = pad + "  "
+        sep = "," + inner
+        if {*map(type, value)} != {int}:
+            lead = "[" + inner
+            for item in value:
+                append(lead)
+                lead = sep
+                encode(item, inner)
+        elif 0 <= min(value) and max(value) <= 9:
+            unit = (sep + "0").encode()
+            row = bytearray(unit) * len(value)
+            row[0] = ord("[")
+            row[len(unit) - 1 :: len(unit)] = bytes(value).translate(_DIGITS)
+            append(row.decode())
+        else:
+            append("[" + inner + sep.join(map(str, value)))
+        append(pad + "]")
+
+    encode(value, "\n")
+    return "".join(pieces)
 
 
 def _write(text: str) -> None:

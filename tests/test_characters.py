@@ -12,6 +12,7 @@ from knotrank.characters import (
     CertifiedWitness,
     IndependenceCertificate,
     SearchExhausted,
+    VerificationResult,
     build_certificate,
     certify,
     prime_component,
@@ -459,6 +460,98 @@ def test_verify_rejects_any_single_prime_change(i, delta, rebuild):
         # the order and the primality test are left to refuse it
         matrix = [[dict(cw.factorization).get(p, 0) for cw in TWELVE.witnesses] for p in primes]
     assert not verify_certificate(tampered_twelve(primes, matrix))
+
+
+def first_witness_of_each_max_prime(limit):
+    # certified witnesses of index < limit, the first of each max prime, in
+    # order of max prime: any subsequence of them makes a valid certificate
+    first = {}
+    for n in range(2, limit):
+        cw = certify(witness(n))
+        first.setdefault(cw.max_prime, cw)
+    return tuple(first[p] for p in sorted(first))
+
+
+def certificate_of(ws):
+    primes = tuple(cw.max_prime for cw in ws)
+    matrix = tuple(tuple(dict(cw.factorization).get(p, 0) for cw in ws) for p in primes)
+    return IndependenceCertificate(ws, primes, matrix)
+
+
+# unlike a greedy certificate's, its rows have entries above the diagonal
+DENSE = certificate_of(first_witness_of_each_max_prime(60)[:16])
+
+
+def test_dense_certificate_has_entries_above_the_diagonal():
+    assert verify_certificate(DENSE)
+    assert sum(v for i, row in enumerate(DENSE.evaluation) for v in row[i + 1 :]) >= 10
+
+
+@TAMPER
+@given(st.data())
+def test_verify_rejects_a_nonzero_entry_moved_within_its_row(data):
+    # the row keeps its count of zeros; only the columns of its entries change
+    k = len(DENSE.selected_primes)
+    matrix = [list(row) for row in DENSE.evaluation]
+    i = data.draw(st.sampled_from([i for i, row in enumerate(matrix) if any(row[i + 1 :])]))
+    row = matrix[i]
+    j = data.draw(st.sampled_from([j for j in range(i + 1, k) if row[j]]))
+    t = data.draw(st.sampled_from([t for t in range(i + 1, k) if row[t] != row[j]]))
+    row[j], row[t] = row[t], row[j]
+    tampered = IndependenceCertificate(
+        DENSE.witnesses, DENSE.selected_primes, tuple(map(tuple, matrix))
+    )
+    result = verify_certificate(tampered)
+    assert not result
+    assert result.reason == f"evaluation[{i}][{min(j, t)}] does not match the factorizations"
+
+
+@pytest.mark.parametrize(
+    "i, j, entry, reason",
+    [
+        # an entry equal to 0 (or to the expected exponent) passes, whatever its type
+        (5, 2, 0.0, None),
+        (5, 2, -0.0, None),
+        (5, 2, False, None),
+        (5, 5, 1.0, None),
+        (5, 5, True, None),
+        (5, 2, 0.5, "triangularity violated at evaluation[5][2]"),
+        (5, 2, True, "triangularity violated at evaluation[5][2]"),
+        (5, 2, float("nan"), "triangularity violated at evaluation[5][2]"),
+        (5, 7, 0.0, None),
+        (5, 7, 1.0, "evaluation[5][7] does not match the factorizations"),
+    ],
+)
+def test_verify_compares_entries_by_equality_not_truth(i, j, entry, reason):
+    matrix = [list(row) for row in TWELVE.evaluation]
+    matrix[i][j] = entry
+    result = verify_certificate(tampered_twelve(TWELVE.selected_primes, matrix))
+    assert result == VerificationResult(reason is None, reason)
+
+
+@pytest.mark.parametrize(
+    "make_cert",
+    [
+        lambda: build_certificate(200, 1092),
+        # every other witness: 5, 17, 37 and 53 divide several ranks but are not selected
+        lambda: certificate_of(first_witness_of_each_max_prime(200)[1::2]),
+    ],
+    ids=["greedy", "unselected-factors"],
+)
+def test_verify_proves_each_distinct_prime_once(monkeypatch, make_cert):
+    cert = make_cert()
+    calls = []
+    real_is_prime = numtheory.is_prime
+
+    def counting_is_prime(x):
+        calls.append(x)
+        return real_is_prime(x)
+
+    monkeypatch.setattr(numtheory, "is_prime", counting_is_prime)
+    assert verify_certificate(cert)
+    factors = [p for cw in cert.witnesses for p, _ in cw.factorization]
+    assert set(factors) >= set(cert.selected_primes)
+    assert sorted(calls) == sorted(set(factors))
 
 
 def test_witness_for_prime_examples():

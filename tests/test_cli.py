@@ -69,6 +69,10 @@ json_values = st.recursive(
 @example([-1, 0])  # a negative entry
 @example((0,) * 300)
 @example([255, 256])  # past the byte range
+@example({"a": {"b": {"c": [[0, 1, 2], [3, 0, 9]]}}})  # a digit matrix three dicts deep
+@example([*range(10)] * 3 + [*range(9)] + [True])  # 40 entries, the last a bool
+@example({"i": -7, "s": "x", "t": True, "f": False, "n": None, "x": 1.5, "y": float("inf")})
+@example({"rows": []})
 def test_canonical_json_matches_json_dumps(value):
     assert cli._canonical_json(value) == json.dumps(value, sort_keys=True, indent=2)
 
