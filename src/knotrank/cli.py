@@ -294,8 +294,23 @@ def cmd_rank(args) -> int:
 # -- selftest ------------------------------------------------------------
 
 
-def _check_box_oracle(half_width: int) -> None:
-    span = range(-half_width, half_width + 1)
+def _witness_block_sum(n: int, k: int) -> list[list[int]]:
+    """A Seifert matrix of witness n with k trefoil summands, genus k + 1.
+
+    A connected sum's Seifert matrix is the block sum of the summands'
+    matrices, and its Alexander polynomial is their product.
+    """
+    trefoil = seifert.pretzel_seifert_matrix(0, 0, 0).entries
+    blocks = [seifert.pretzel_seifert_matrix(-n, n, n * n).entries] + [trefoil] * k
+    return [
+        [0] * (2 * b) + list(row) + [0] * (2 * (k - b))
+        for b, block in enumerate(blocks)
+        for row in block
+    ]
+
+
+def _check_box_oracle(copies: int) -> None:
+    span = range(-6, 7)
     for l in span:
         for m in span:
             for n in span:
@@ -305,21 +320,36 @@ def _check_box_oracle(half_width: int) -> None:
                 via_formula = pretzel.alexander_closed_form(PretzelKnot(l, m, n))
                 if via_matrix != via_formula:
                     raise AssertionError(f"routes disagree at (l, m, n) = ({l}, {m}, {n})")
-    # Witnesses of genus 1-6: a connected sum's Seifert matrix is the block
-    # sum of the summands' matrices, and its Alexander polynomial is their
-    # product.  At k = 0 the witness's own matrix meets the closed form.
-    trefoil = seifert.pretzel_seifert_matrix(0, 0, 0).entries
+    # Witnesses of genus 1-6.  At k = 0 the witness's own matrix meets the
+    # closed form.
     for n in range(1, 51):
         for k in range(6):
-            blocks = [seifert.pretzel_seifert_matrix(-n, n, n * n).entries] + [trefoil] * k
-            rows = [
-                [0] * (2 * b) + list(row) + [0] * (2 * (k - b))
-                for b, block in enumerate(blocks)
-                for row in block
-            ]
+            rows = _witness_block_sum(n, k)
             via_matrix = seifert.alexander_from_seifert(SeifertMatrix.from_rows(rows))
             if via_matrix != pretzel.alexander_of_witness(WitnessKnot(n, k)):
                 raise AssertionError(f"routes disagree at witness index {n}, stab {k}")
+    # Congruent copies U V U^T of the witnesses of genus 2-10, with U a
+    # seeded product of elementary matrices I + c * E_ij (det U = 1).  The
+    # Alexander polynomial is a congruence invariant, and U fills in the
+    # block-diagonal V - V^T, so the elimination meets dense columns.
+    import random
+
+    rng = random.Random(1)
+    for k in range(1, 10):
+        for n in range(1, copies + 1):
+            rows = _witness_block_sum(n, k)
+            size = len(rows)
+            for _ in range(3 * size):
+                i, j = rng.sample(range(size), 2)
+                c = rng.choice((-1, 1))
+                rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+                for row in rows:
+                    row[i] += c * row[j]
+            via_matrix = seifert.alexander_from_seifert(SeifertMatrix.from_rows(rows))
+            if via_matrix != pretzel.alexander_of_witness(WitnessKnot(n, k)):
+                raise AssertionError(
+                    f"routes disagree at witness index {n}, stab {k}, after a congruence"
+                )
 
 
 def _check_witnesses(limit: int) -> None:
@@ -337,11 +367,11 @@ def _check_certificate(rows: int) -> None:
 
 
 def _selftest_checks(fast: bool):
-    half_width = 6 if fast else 15
+    copies = 1 if fast else 6
     prime_limit = 1_000 if fast else 10_000
     rows = 10 if fast else 25
     return [
-        ("pretzel box oracle", lambda: _check_box_oracle(half_width)),
+        ("pretzel box oracle", lambda: _check_box_oracle(copies)),
         ("witness verification", lambda: _check_witnesses(prime_limit)),
         ("certificate", lambda: _check_certificate(rows)),
     ]

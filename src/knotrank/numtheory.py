@@ -115,6 +115,13 @@ def sqrt_minus_one(p: int) -> int:
         raise NotPrime(f"{p} is not prime")
     if p % 4 != 1:
         raise NotOneModFour(f"{p} is congruent to {p % 4}, not 1, mod 4")
+    return _pinned_root(p)
+
+
+def _pinned_root(p: int) -> int:
+    """``sqrt_minus_one(p)`` without its checks, for a p = 1 (mod 4) that is
+    prime or has passed ``is_prime``: the search for the least non-residue.
+    """
     for a in range(2, p):
         euler = pow(a, (p - 1) // 2, p)
         if euler == 1:

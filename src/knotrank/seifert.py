@@ -9,12 +9,19 @@ reduction to upper Hessenberg form and the Hessenberg recurrence for the
 characteristic polynomial (Cohen, *A Course in Computational Algebraic
 Number Theory*, 2.2.4), then the symmetric residues, which are the exact
 coefficients.  Their sum Delta(1) = det(S) tells whether V is a knot's.
+The elimination and the reduction defer their ``% P``: entries may be
+unreduced between steps, and each value that is tested for zero as a
+pivot, inverted or used as a multiplier is reduced first.  A value and
+its reduction have the same residue, so the routine takes the same
+branches and returns the same residues as with every entry reduced,
+for any modulus, prime or not.
 """
 
 from __future__ import annotations
 
 from itertools import count
 from math import isqrt
+from operator import mul
 from typing import Sequence
 
 from ._frozen import Frozen, json_int
@@ -157,54 +164,79 @@ def _alexander_mod(e: Sequence[Sequence[int]], p: int) -> list[int]:
     modulo p: with every earlier pivot a unit, p divides det(S), which is
     then not +-1.  A plain ``ValueError`` means a pivot is nonzero but not
     a unit, which needs a composite p.
+
+    The reductions are deferred.  Between steps an entry may be
+    unreduced: a row update is x - u*y with no ``% p``.  Every value that
+    is tested for zero as a pivot, inverted, or used as a multiplier is
+    reduced first, and so is the pivot row an update reads; a column
+    operation's sum is reduced as it is written, one entry per row.  A
+    reduced value has the same residue as the unreduced one, so every
+    branch (the pivot chosen, a skipped column, ``NotUnitAtOne`` or
+    ``ValueError``) and every residue is what it would be with every
+    entry kept reduced, for any modulus.  As u and y are residues, an
+    entry grows only by sums of products of two residues, never
+    multiplicatively.  The Hessenberg part is reduced once before the
+    characteristic-polynomial recurrence, which works on residues.
     """
     n = len(e)
     # Gauss-Jordan on [S | -V^T] leaves [I | N] with N = -S^-1 * V^T.
+    # Columns up to c hold the identity once column c is done; they are
+    # never read again, so row operations skip them and they are dropped.
     rows = [
-        [(e[i][j] - e[j][i]) % p for j in range(n)] + [-e[j][i] % p for j in range(n)]
-        for i in range(n)
+        [e[i][j] - e[j][i] for j in range(n)] + [-e[j][i] for j in range(n)] for i in range(n)
     ]
     det_s = 1
     for c in range(n):
-        r = c
-        while r < n and not rows[r][c]:
-            r += 1
-        if r == n:
+        for r in range(c, n):
+            pivot = rows[r][c] % p
+            if pivot:
+                break
+        else:
             raise NotUnitAtOne(f"V - V^T is singular modulo {p}")
         if r != c:
             rows[c], rows[r] = rows[r], rows[c]
             det_s = -det_s
-        det_s = det_s * rows[c][c] % p
-        inv = pow(rows[c][c], -1, p)  # ValueError unless a unit
-        pivot_row = rows[c] = [x * inv % p for x in rows[c]]
-        for i in range(n):
-            f = rows[i][c]
+        det_s = det_s * pivot % p
+        inv = pow(pivot, -1, p)  # ValueError unless a unit
+        pivot_tail = [x * inv % p for x in rows[c][c + 1 :]]
+        rows[c][c + 1 :] = pivot_tail
+        for i, row in enumerate(rows):
+            f = row[c] % p
             if f and i != c:
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], pivot_row)]
-    h = [row[n:] for row in rows]
+                row[c + 1 :] = [x - f * y for x, y in zip(row[c + 1 :], pivot_tail)]
+    for row in rows:
+        del row[:n]
+    h = rows
     # Upper Hessenberg form by similarity: clear column k below row k + 1
-    # with row operations, and undo each one with a column operation.
+    # with row operations, and undo them with one column operation, a dot
+    # product per row.  Row operations skip the columns left of k, which
+    # hold zeros, and write column k's residue, 0, without computing it.
     for k in range(n - 2):
-        r = k + 1
-        while r < n and not h[r][k]:
-            r += 1
-        if r == n:
+        for r in range(k + 1, n):
+            pivot = h[r][k] % p
+            if pivot:
+                break
+        else:
             continue
         if r != k + 1:
             h[k + 1], h[r] = h[r], h[k + 1]
             for row in h:
                 row[k + 1], row[r] = row[r], row[k + 1]
-        pivot_row = h[k + 1]
-        inv = pow(pivot_row[k], -1, p)  # ValueError unless a unit
-        factors = []
-        for i in range(k + 2, n):
-            u = h[i][k] * inv % p
-            if u:
-                h[i] = [(x - u * y) % p for x, y in zip(h[i], pivot_row)]
-                factors.append((i, u))
-        if factors:
+        pivot_tail = [x % p for x in h[k + 1][k + 1 :]]
+        h[k + 1][k + 1 :] = pivot_tail
+        inv = pow(pivot, -1, p)  # ValueError unless a unit
+        factors = [h[i][k] * inv % p for i in range(k + 2, n)]
+        if any(factors):
+            for u, row in zip(factors, h[k + 2 :]):
+                if u:
+                    row[k] = 0
+                    row[k + 1 :] = [x - u * y for x, y in zip(row[k + 1 :], pivot_tail)]
             for row in h:
-                row[k + 1] = (row[k + 1] + sum(u * row[i] for i, u in factors)) % p
+                row[k + 1] = (row[k + 1] + sum(map(mul, factors, row[k + 2 :]))) % p
+    # The recurrence reads only the upper Hessenberg part: reduce it once.
+    for i, row in enumerate(h):
+        lo = max(i - 1, 0)
+        row[lo:] = [x % p for x in row[lo:]]
     # chars[m] is det(x*I - H_m) for the leading m x m block H_m, lowest first.
     chars = [[1]]
     for m in range(n):

@@ -231,6 +231,21 @@ def test_rank_sieve_needs_no_factorize_below_the_cap(monkeypatch):
     assert len(build_certificate(2000, 100_000).witnesses) == 2000
 
 
+def test_build_certificate_proves_no_prime_twice(monkeypatch):
+    # the Eratosthenes sieve proves the sieving primes, and every leftover
+    # of these ranks is below the square of the bound: no Miller-Rabin test
+    calls = []
+    real_is_prime = numtheory.is_prime
+
+    def counting_is_prime(x):
+        calls.append(x)
+        return real_is_prime(x)
+
+    monkeypatch.setattr(numtheory, "is_prime", counting_is_prime)
+    assert len(build_certificate(200, 1092).witnesses) == 200
+    assert calls == []
+
+
 @lru_cache(maxsize=1)
 def oracle_max_primes():
     # index n -> largest prime of rank(n), by sympy, for n up to 2400

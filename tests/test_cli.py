@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from sympy import isprime
 
 from cli_calls import run_calls
-from knotrank import characters, cli, pretzel
+from knotrank import characters, cli, pretzel, seifert
 from knotrank.pretzel import PretzelKnot
 from knotrank.seifert import SeifertMatrix
 
@@ -530,6 +530,26 @@ def test_selftest_names_a_sabotaged_genus_two_route(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "selftest", "--fast")
     assert code == 1
     assert "FAIL: pretzel box oracle" in out
+
+
+def test_selftest_box_oracle_meets_a_dense_skew_part(capsys, monkeypatch):
+    # V - V^T is block diagonal for every pretzel matrix and witness block
+    # sum, so only the congruent copies reach a fault in the dense case
+    real = seifert._alexander_mod
+
+    def wrong_when_dense(e, p):
+        n = len(e)
+        if any(e[i][j] != e[j][i] for i in range(n) for j in range(n) if i // 2 != j // 2):
+            return [1] + [0] * n
+        return real(e, p)
+
+    monkeypatch.setattr(seifert, "_alexander_mod", wrong_when_dense)
+    code, out, _ = run_cli(capsys, "selftest", "--fast")
+    assert code == 1
+    assert out == "FAIL: pretzel box oracle (routes disagree at witness index 1, stab 1, after a congruence)\n"
+    full = dict(cli._selftest_checks(fast=False))["pretzel box oracle"]
+    with pytest.raises(AssertionError, match="after a congruence"):
+        full()
 
 
 def test_help_exits_zero(capsys):

@@ -329,6 +329,14 @@ def normalized(coeffs):
     return [sign * c for c in coeffs]
 
 
+def elementary_congruence(rows, i, j, c):
+    """V -> E V E^T in place for E = I + c * E_ij, i != j: add c times row j
+    to row i, then c times column j to column i."""
+    rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+    for row in rows:
+        row[i] += c * row[j]
+
+
 @st.composite
 def knot_matrices(draw):
     """Genus 1-3 knot matrices with entries up to 10^6, some moved by a congruence.
@@ -344,9 +352,7 @@ def knot_matrices(draw):
     index = st.integers(0, size - 1)
     for i, j, c in draw(st.lists(st.tuples(index, index, st.integers(-3, 3)), max_size=4)):
         if i != j:
-            rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
-            for row in rows:
-                row[i] += c * row[j]
+            elementary_congruence(rows, i, j, c)
     return rows
 
 
@@ -375,6 +381,54 @@ def test_alexander_from_seifert_genus_forty_budget():
     k = (80 - poly.degree_span()) // 2
     value = sum(c * pow(x, k + i, q) for i, c in enumerate(poly.coeffs)) % q
     assert at_x in (value, -value % q)
+
+
+def dense_knot_matrix(genus):
+    """A seeded knot matrix U V U^T whose skew part is dense, U unimodular.
+
+    ``random_knot_matrix`` has V - V^T equal to the standard symplectic
+    form, so Gauss-Jordan has one nonzero per column.  U is a product of
+    elementary matrices, so det(V - V^T) stays 1 and V - V^T fills in.
+    """
+    rng = random.Random(1000 + genus)
+    rows = random_knot_matrix(rng, genus, entry=2)
+    size = 2 * genus
+    for _ in range(3 * size):
+        i, j = rng.sample(range(size), 2)
+        elementary_congruence(rows, i, j, rng.choice((-1, 1)))
+    return rows
+
+
+@pytest.mark.parametrize("genus", range(6, 16))
+def test_alexander_from_seifert_with_a_dense_skew_part(genus):
+    rows = dense_knot_matrix(genus)
+    n = 2 * genus
+    skew = [[rows[i][j] - rows[j][i] for j in range(n)] for i in range(n)]
+    assert sum(v != 0 for row in skew for v in row) > n * n // 2
+    q = 2**61 - 1
+    assert det_mod(skew, q) == 1
+    poly = alexander_from_seifert(SeifertMatrix.from_rows(rows))
+    assert poly.lowest == 0 and poly.is_symmetric() and poly.eval_at(1) == 1
+    # det(V - t*V^T) = t^k * Delta(t), with k = (n - span) / 2 by symmetry
+    # and no sign, as both sides are det(V - V^T) = 1 at t = 1
+    k = (n - poly.degree_span()) // 2
+    exact = [0] * k + list(poly.coeffs) + [0] * k
+    rng = random.Random(genus)
+    for _ in range(3):
+        x = rng.randrange(2, q)
+        at_x = det_mod([[rows[i][j] - x * rows[j][i] for j in range(n)] for i in range(n)], q)
+        assert at_x == sum(c * pow(x, j, q) for j, c in enumerate(exact)) % q
+    # any modulus: a non-unit pivot raises, and nothing else goes wrong
+    outcomes = set()
+    for modulus in (4, 15, 2**64, 3 * q, q * (2**89 - 1)):
+        try:
+            residues = _alexander_mod(rows, modulus)
+        except ValueError:
+            outcomes.add("raised")
+            continue
+        assert residues == [c % modulus for c in exact], modulus
+        outcomes.add("returned")
+    assert "returned" in outcomes
 
 
 def test_alexander_mod_any_modulus_raises_or_is_right():
