@@ -209,12 +209,12 @@ class _RankSieve:
 
     The rank r(n) = 2n^2 - 2n + 1 is odd and 2r = (2n - 1)^2 + 1, so
     each of its prime factors p is 1 (mod 4), and p divides r(n) exactly
-    when n = n0 or n = 1 - n0 (mod p), where n0 = (m + 1) / 2 (mod p) for
-    m = ``sqrt_minus_one(p)``, which is ``witness_index(p)`` modulo p:
+    when n = n0 or n = 1 - n0 (mod p), where n0 = ``witness_index(p)``:
     the witness construction run in reverse.  The Eratosthenes sieve
-    has proven each p, so m comes from the root search alone, with no
-    second primality test.  A block is sieved with the two roots of each
-    such prime up to the square root of its largest rank (and below
+    has proven each p, so n0 comes from the root search alone, with no
+    second primality test, through the one root-to-index formula,
+    ``numtheory._root_index``.  A block is sieved with the two roots of
+    each such prime up to the square root of its largest rank (and below
     ``SIEVE_PRIME_CAP``), dividing p out at each hit; whatever is left
     below the square of that bound is 1 or a prime.
     This is the polynomial-value sieve of the quadratic sieve.
@@ -232,8 +232,7 @@ class _RankSieve:
             # doubling keeps the total cost of the re-sieves linear
             self.top = min(max(bound, 2 * self.top), SIEVE_PRIME_CAP - 1)
             for p in numtheory.primes_one_mod_four(self.top)[len(self.primes) :]:
-                # the sieve has proven p prime; (p + 1) / 2 inverts 2 modulo p
-                n0 = (numtheory._pinned_root(p) + 1) * ((p + 1) // 2) % p
+                n0 = numtheory._root_index(numtheory._pinned_root(p), p)
                 self.primes.append(p)
                 self.roots.append((n0, (1 - n0) % p))
         ranks = [2 * n * n - 2 * n + 1 for n in range(lo, hi)]

@@ -270,9 +270,7 @@ def cmd_rank(args) -> int:
             f"coefficients of more than {limit} digits, the limit for integer "
             "string conversion (PYTHONINTMAXSTRDIGITS raises it)"
         )
-    w = pretzel.witness(args.index)
-    if args.stab:
-        w = pretzel.stabilize(w, args.stab)
+    w = WitnessKnot(args.index, args.stab)
     poly = pretzel.alexander_of_witness(w)
     result = {
         "index": args.index,
@@ -310,18 +308,16 @@ def _witness_block_sum(n: int, k: int) -> list[list[int]]:
 
 
 def _check_box_oracle(copies: int) -> None:
+    # The box [-6, 6]^3, then the bases (-n, n, n^2) of witnesses 1-50,
+    # where c = 1 lets alexander_of_witness skip the closed form.
     span = range(-6, 7)
-    for l in span:
-        for m in span:
-            for n in span:
-                via_matrix = seifert.alexander_from_seifert(
-                    seifert.pretzel_seifert_matrix(l, m, n)
-                )
-                via_formula = pretzel.alexander_closed_form(PretzelKnot(l, m, n))
-                if via_matrix != via_formula:
-                    raise AssertionError(f"routes disagree at (l, m, n) = ({l}, {m}, {n})")
-    # Witnesses of genus 1-6.  At k = 0 the witness's own matrix meets the
-    # closed form.
+    bases = [(-n, n, n * n) for n in range(1, 51)]
+    for l, m, n in [(l, m, n) for l in span for m in span for n in span] + bases:
+        via_matrix = seifert.alexander_from_seifert(seifert.pretzel_seifert_matrix(l, m, n))
+        via_formula = pretzel.alexander_closed_form(PretzelKnot(l, m, n))
+        if via_matrix != via_formula:
+            raise AssertionError(f"routes disagree at (l, m, n) = ({l}, {m}, {n})")
+    # Witnesses of genus 1-6.
     for n in range(1, 51):
         for k in range(6):
             rows = _witness_block_sum(n, k)

@@ -136,13 +136,20 @@ def _pinned_root(p: int) -> int:
 def witness_index(p: int) -> int:
     """Witness index n with 2n^2 - 2n + 1 divisible by p.
 
-    Case split on the parity of m = sqrt_minus_one(p): n = (m+1)/2 for
-    odd m, n = (m+p+1)/2 for even m.
+    n = (m + 1) / 2 modulo p for m = sqrt_minus_one(p) (``_root_index``):
+    (m + 1) / 2 for odd m, (m + p + 1) / 2 for even m.
     """
-    m = sqrt_minus_one(p)
-    if m % 2 == 1:
-        return (m + 1) // 2
-    return (m + p + 1) // 2
+    return _root_index(sqrt_minus_one(p), p)
+
+
+def _root_index(m: int, p: int) -> int:
+    """The n in 1..p-1 with n = (m + 1) / 2 (mod p), for m^2 = -1 (mod p).
+
+    2r(n) = (2n - 1)^2 + 1 for r(n) = 2n^2 - 2n + 1, and 2n - 1 = m, so
+    p divides r(n).  (p + 1) / 2 inverts 2 modulo the odd p, and n is
+    not 0, as m = -1 would square to 1.
+    """
+    return (m + 1) * ((p + 1) // 2) % p
 
 
 @lru_cache(maxsize=1)
@@ -188,9 +195,7 @@ def _pollard_rho(n: int) -> int:
 
 
 def _factor_completely(x: int, acc: list[int]) -> None:
-    # x has no prime factor below the small-prime bound
-    if x == 1:
-        return
+    # x > 1 has no prime factor below the small-prime bound
     if is_prime(x):
         acc.append(x)
         return

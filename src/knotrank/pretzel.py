@@ -136,9 +136,12 @@ def stabilize(w: WitnessKnot, k: int) -> WitnessKnot:
 
 
 def alexander_of_witness(w: WitnessKnot) -> LaurentPoly:
-    """Alexander polynomial of the (possibly stabilized) witness.
+    """Alexander polynomial of the (possibly stabilized) witness: (1 - t + t^2)^genus.
 
-    Connected sums multiply Alexander polynomials, so this is the base
-    pretzel polynomial times (1 - t + t^2)^stab_count.
+    The base P(-2n+1, 2n+1, 2n^2+1) has (l, m, n) = (-n, n, n^2), so the
+    closed form's c = 1 + l + m + n + lm + mn + nl is 1 - n + n + n^2 -
+    n^2 + n^3 - n^3 = 1, and c*(t-1)^2 + t is the trefoil's 1 - t + t^2
+    for every index.  Connected sums multiply Alexander polynomials, so
+    stab_count trefoil summands make it (1 - t + t^2)^(stab_count + 1).
     """
-    return alexander_closed_form(w.base) * TREFOIL_ALEXANDER**w.stab_count
+    return TREFOIL_ALEXANDER**w.genus

@@ -3,12 +3,13 @@
 ``alexander_from_seifert`` computes det(V - t*V^T) in O(n^3) for n = 2g:
 V - t*V^T = S * (I + (1 - t) * M) with S = V - V^T and M = S^-1 * V^T,
 so the determinant is det(S) times a characteristic polynomial.  One
-modulus P above twice Hadamard's bound on the coefficients carries the
-whole computation: Gauss-Jordan elimination for M, a similarity
-reduction to upper Hessenberg form and the Hessenberg recurrence for the
-characteristic polynomial (Cohen, *A Course in Computational Algebraic
-Number Theory*, 2.2.4), then the symmetric residues, which are the exact
-coefficients.  Their sum Delta(1) = det(S) tells whether V is a knot's.
+modulus P, a prime power above twice Hadamard's bound on the
+coefficients, carries the whole computation: Gauss-Jordan elimination
+for M, a similarity reduction to upper Hessenberg form and the
+Hessenberg recurrence for the characteristic polynomial (Cohen, *A
+Course in Computational Algebraic Number Theory*, 2.2.4), then the
+symmetric residues, which are the exact coefficients.  Their sum
+Delta(1) = det(S) tells whether V is a knot's.
 The elimination and the reduction defer their ``% P``: entries may be
 unreduced between steps, and each value that is tested for zero as a
 pivot, inverted or used as a multiplier is reduced first.  A value and
@@ -266,15 +267,20 @@ def alexander_from_seifert(V: SeifertMatrix) -> LaurentPoly:
 
     At genus 1, V = [[w, x], [y, z]] gives (wz - xy) * (1 + t^2) +
     (x^2 + y^2 - 2wz) * t.  Above it the coefficients come from
-    ``_alexander_mod`` modulo the first prime P > 2B (``_coefficient_bound``).
-    Unless their sum det(V - V^T) is +-1, this raises ``NotUnitAtOne``.
+    ``_alexander_mod`` modulo P, the least power of a prime q with
+    P > 2B (``_coefficient_bound``).  Unless their sum det(V - V^T) is
+    +-1, this raises ``NotUnitAtOne``.
 
     The result is exact whether or not P is prime: each step is a ring
     operation with a unit pivot, so the residues are those of the integer
     coefficients, each in (-B, B) with P > 2B, so the symmetric residues
     and their sum are exact.  If S = V - V^T is singular modulo P, P
     divides det(S), below B in size (the bound at z = 1), so det(S) = 0.
-    A non-unit pivot, which needs a composite P, moves on to the next prime.
+    A non-unit pivot, one that q divides, moves on to the next prime q.
+    The search starts at q = 2^30 - 35, where ``is_prime`` is proven and
+    cheap, so its cost does not grow with the size of the entries.  As
+    the largest prime below 2^30, q makes q^k fit in k of CPython's
+    30-bit digits, so P is rarely a digit longer than 2B.
     """
     e = V.entries
     if V.size == 2:
@@ -282,15 +288,18 @@ def alexander_from_seifert(V: SeifertMatrix) -> LaurentPoly:
         det_v = w * z - x * y
         coeffs = (det_v, x * x + y * y - 2 * w * z, det_v)
     else:
-        for p in count(2 * _coefficient_bound(e) + 1, 2):
-            if is_prime(p):
-                try:
-                    residues = _alexander_mod(e, p)
-                except NotUnitAtOne:
-                    residues = []  # det(V - V^T) = 0, the empty sum
-                except ValueError:
-                    continue
-                break
+        bound = 2 * _coefficient_bound(e)
+        for q in filter(is_prime, count(2**30 - 35, 2)):
+            p = q
+            while p <= bound:
+                p *= q
+            try:
+                residues = _alexander_mod(e, p)
+            except NotUnitAtOne:
+                residues = []  # det(V - V^T) = 0, the empty sum
+            except ValueError:
+                continue
+            break
         half = p // 2
         coeffs = [c - p if c > half else c for c in residues]
     d = sum(coeffs)

@@ -437,6 +437,27 @@ def test_verify_rejects_a_huge_exponent_before_raising_to_it():
     assert result.reason == "witness 0: exponent 10000000 of 5 exceeds the bit length of the rank"
 
 
+@pytest.mark.parametrize(
+    "factors, max_prime, reason",
+    [
+        ([(5, 1), (7, 0), (13, 1), (17, 1)], 17, "witness 0: exponent of 7 is not positive"),
+        ([(5, 1), (221, 1)], 221, "witness 0: factor 221 is not prime"),
+        ([(5, 1), (17, 1), (13, 1)], 13, "witness 0: factorization primes are not ascending"),
+        ([(5, 1), (13, 1), (17, 1)], 13, "witness 0: stored max prime 13 is wrong"),
+    ],
+)
+def test_verify_rejects_a_tampered_factorization_of_a_rank(factors, max_prime, reason):
+    # rank 1105 = 5 * 13 * 17; each tampered record still multiplies back to
+    # it and meets the one-row matrix, so only its own check can refuse it
+    cw = certify(witness(24))
+    assert cw.rank == 1105 and cw.factorization == ((5, 1), (13, 1), (17, 1))
+    factorization = tuple(PrimePower(p, e) for p, e in factors)
+    tampered = CertifiedWitness(cw.witness, cw.rank, factorization, max_prime)
+    result = verify_certificate(IndependenceCertificate((tampered,), (5,), ((1,),)))
+    assert not result
+    assert result.reason == reason
+
+
 TWELVE = build_certificate(12, 10_000)
 TAMPER = settings(max_examples=300, deadline=None, derandomize=True)
 

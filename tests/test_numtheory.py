@@ -177,6 +177,14 @@ def test_witness_index_validity_below_ten_thousand():
         assert (2 * n * n - 2 * n + 1) % p == 0
 
 
+def test_witness_index_is_the_root_halved_modulo_p():
+    # the parity split: (m + 1) / 2 for odd m, (m + p + 1) / 2 for even m
+    for p in primes_one_mod_four(20_000):
+        m = sqrt_minus_one(p)
+        split = (m + 1) // 2 if m % 2 else (m + p + 1) // 2
+        assert witness_index(p) == split == numtheory._root_index(m, p)
+
+
 def test_witness_index_propagates_precondition_errors():
     with pytest.raises(NotOneModFour):
         witness_index(7)

@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from knotrank import pretzel
 from knotrank.laurent import LaurentPoly
 from knotrank.pretzel import (
     AlreadyStabilized,
@@ -147,6 +150,27 @@ def test_alexander_of_witness_matches_dict_oracle_powers():
         for _ in range(k + 1):
             expected = d_mul(expected, trefoil)
         assert poly_to_dict(alexander_of_witness(WitnessKnot(4, k))) == expected
+
+
+def test_alexander_of_witness_builds_no_pretzel_and_multiplies_nothing(monkeypatch):
+    # Delta is the trefoil's power read off the witness's genus: c = 1 for every index
+    def refuse(*args):
+        raise AssertionError("alexander_of_witness derived the base pretzel's polynomial")
+
+    monkeypatch.setattr(pretzel, "alexander_closed_form", refuse)
+    monkeypatch.setattr(WitnessKnot, "base", property(refuse))
+    monkeypatch.setattr(LaurentPoly, "__mul__", refuse)
+    monkeypatch.setattr(LaurentPoly, "__rmul__", refuse)
+    for n, k in ((1, 0), (7, 0), (1000, 0), (3, 1), (1000, 12)):
+        assert alexander_of_witness(WitnessKnot(n, k)) == TREFOIL_ALEXANDER ** (k + 1)
+
+
+def test_alexander_of_witness_equals_the_base_pretzel_times_trefoils():
+    rng = random.Random(18)
+    pairs = [(1, 0), (1000, 12)] + [(rng.randint(1, 1000), rng.randint(0, 12)) for _ in range(60)]
+    for n, k in pairs:
+        derived = alexander_closed_form(witness(n).base) * TREFOIL_ALEXANDER**k
+        assert alexander_of_witness(WitnessKnot(n, k)) == derived
 
 
 def test_stabilized_witnesses_stay_homologically_fibered():

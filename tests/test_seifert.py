@@ -1,3 +1,4 @@
+import math
 import random
 import time
 
@@ -120,6 +121,17 @@ def test_det_int_property_against_cofactor_oracle(rows):
 @given(st.tuples(st.integers(0, 5), st.integers(0, 5)).flatmap(lambda shape: int_matrices(*shape)))
 def test_rank_int_property_against_fraction_oracle(rows):
     assert rank_int(rows) == fraction_rank(rows)
+
+
+def test_det_int_and_rank_int_reject_ragged_rows():
+    with pytest.raises(ValueError, match="^matrix is not square$"):
+        det_int([[1, 2], [3, 4], [5, 6]])
+    with pytest.raises(ValueError, match="^matrix is not square$"):
+        det_int([[1, 2], [3]])
+    with pytest.raises(ValueError, match="^matrix rows have unequal lengths$"):
+        rank_int([[1, 2], [3]])
+    with pytest.raises(ValueError, match="^matrix rows have unequal lengths$"):
+        rank_int([[1, 2, 3], [4, 5, 6], [7, 8]])
 
 
 def test_rank_int_edge_cases():
@@ -473,16 +485,62 @@ def test_alexander_from_seifert_moves_on_after_a_non_unit_pivot(monkeypatch):
     monkeypatch.setattr(seifert, "_alexander_mod", fail_first)
     assert alexander_from_seifert(SeifertMatrix.from_rows(rows)) == expected
     assert len(moduli) == 2 and moduli[1] > moduli[0] > 2 * _coefficient_bound(rows)
+    # the largest prime below 2^30, then the next prime, each to its least power above 2B
+    assert moduli == [2**30 - 35, 2**30 + 3]
+
+
+def test_alexander_from_seifert_modulus_is_the_least_prime_power_above_2b(monkeypatch):
+    q = 2**30 - 35
+    moduli = []
+    real = seifert._alexander_mod
+
+    def record(e, p):
+        moduli.append(p)
+        return real(e, p)
+
+    monkeypatch.setattr(seifert, "_alexander_mod", record)
+    for entry in (1, 10**20, 10**200):
+        rows = random_knot_matrix(random.Random(entry), 2, entry=entry)
+        alexander_from_seifert(SeifertMatrix.from_rows(rows))
+        bound = 2 * _coefficient_bound(rows)
+        assert moduli[-1] > bound and (moduli[-1] == q or moduli[-1] // q <= bound)
+        assert q ** round(math.log(moduli[-1], q)) == moduli[-1]
+        # no more 30-bit digits than 2B needs
+        assert -(-moduli[-1].bit_length() // 30) == -(-bound.bit_length() // 30)
 
 
 def test_alexander_from_seifert_exact_with_composite_candidates(monkeypatch):
-    # With every odd number taken for a prime, the search starts at 2B + 1
-    # whatever it is; a composite either works or moves the search on.
+    # With every odd number from 2^30 - 31 = 3 * 357913931 on taken for a
+    # prime, the search starts at a composite q; a power of it either works
+    # or meets a pivot that 3 divides, which moves the search on.
     rng = random.Random(8)
     matrices = [random_knot_matrix(rng, genus) for genus in (2, 3, 4) for _ in range(5)]
     expected = [alexander_from_seifert(SeifertMatrix.from_rows(rows)) for rows in matrices]
-    monkeypatch.setattr(seifert, "is_prime", lambda x: True)
+    first = 2**30 - 31
+    moduli = []
+    real = seifert._alexander_mod
+
+    def record(e, p):
+        moduli.append(p)
+        return real(e, p)
+
+    monkeypatch.setattr(seifert, "is_prime", lambda x: x >= first)
+    monkeypatch.setattr(seifert, "_alexander_mod", record)
     assert [alexander_from_seifert(SeifertMatrix.from_rows(rows)) for rows in matrices] == expected
+    assert sum(p % first == 0 for p in moduli) == len(matrices)
+    assert 0 < sum(p % (first + 2) == 0 for p in moduli) < len(matrices)
+
+
+def test_alexander_from_seifert_with_200_digit_entries():
+    # A modulus search that tests ~2,000-bit candidates near 2B for
+    # primality takes most of a minute; a power of 2^30 - 35 needs no such test.
+    rows = random_knot_matrix(random.Random(200), 2, entry=10**200)
+    assert max(len(str(abs(v))) for row in rows for v in row) == 200
+    start = time.perf_counter()
+    poly = alexander_from_seifert(SeifertMatrix.from_rows(rows))
+    elapsed = time.perf_counter() - start
+    assert elapsed < 2.0, f"200-digit entries took {elapsed:.2f}s, budget 2s"
+    assert list(poly.coeffs) == normalized(cofactor_seifert_det(rows))
 
 
 def skew_det(rows):
