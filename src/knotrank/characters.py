@@ -9,6 +9,7 @@ those characters triangular with nonzero diagonal, hence of full rank.
 
 from __future__ import annotations
 
+from itertools import compress
 from math import isqrt
 from typing import Optional
 
@@ -195,8 +196,8 @@ def _evaluation_matrix(witnesses, primes) -> tuple[tuple[int, ...], ...]:
 
 
 # The rank sieve's primes stay below this cap, so its memory is bounded
-# for every accepted search limit.  A cofactor it leaves at or above the
-# square of the cap may be composite and goes to ``numtheory.factorize``.
+# for every accepted search limit.  A rank it leaves unmarked at or above
+# the square of the cap may be composite and gets one ``numtheory.is_prime``.
 SIEVE_PRIME_CAP = 1 << 20
 # Blocks of witness indices start this long and double up to the maximum,
 # so a short certificate sieves few indices whatever its search limit.
@@ -205,7 +206,7 @@ _MAX_BLOCK = 1 << 14
 
 
 class _RankSieve:
-    """Factors the witness ranks of a block of indices at a time.
+    """Tells which witness ranks are prime, a block of indices at a time.
 
     The rank r(n) = 2n^2 - 2n + 1 is odd and 2r = (2n - 1)^2 + 1, so
     each of its prime factors p is 1 (mod 4), and p divides r(n) exactly
@@ -215,9 +216,15 @@ class _RankSieve:
     second primality test, through the one root-to-index formula,
     ``numtheory._root_index``.  A block is sieved with the two roots of
     each such prime up to the square root of its largest rank (and below
-    ``SIEVE_PRIME_CAP``), dividing p out at each hit; whatever is left
-    below the square of that bound is 1 or a prime.
-    This is the polynomial-value sieve of the quadratic sieve.
+    ``SIEVE_PRIME_CAP``): one strided slice assignment per root marks
+    the multiples of p, except a rank equal to p, so a rank left
+    unmarked below the square of that bound is a prime.  This is the
+    Eratosthenes form of the quadratic sieve's polynomial-value sieve:
+    it marks composites and divides nothing.  Primality is all the
+    greedy of ``build_certificate`` needs.  It keeps every prime rank
+    r(n), n >= 2, since every factor of an earlier rank is at most that
+    rank, which is below r(n); and a composite rank's prime factors are
+    all 1 (mod 4), so its largest is at most r // 5.
     """
 
     def __init__(self) -> None:
@@ -225,9 +232,10 @@ class _RankSieve:
         self.roots: list[tuple[int, int]] = []  # for each, the n mod p with p | r(n)
         self.top = 1
 
-    def block(self, lo: int, hi: int) -> list[tuple[int, list[PrimePower]]]:
-        """``(rank, factorization)`` for each witness index lo..hi-1, 1 <= lo < hi."""
-        bound = min(isqrt(2 * (hi - 1) * (hi - 2) + 1), SIEVE_PRIME_CAP - 1)
+    def block(self, lo: int, hi: int) -> bytearray:
+        """Entry i is 1 if the rank of witness index lo + i is prime, else 0; 1 <= lo < hi."""
+        largest = 2 * (hi - 1) * (hi - 2) + 1
+        bound = min(isqrt(largest), SIEVE_PRIME_CAP - 1)
         if bound > self.top:
             # doubling keeps the total cost of the re-sieves linear
             self.top = min(max(bound, 2 * self.top), SIEVE_PRIME_CAP - 1)
@@ -235,33 +243,34 @@ class _RankSieve:
                 n0 = numtheory._root_index(numtheory._pinned_root(p), p)
                 self.primes.append(p)
                 self.roots.append((n0, (1 - n0) % p))
-        ranks = [2 * n * n - 2 * n + 1 for n in range(lo, hi)]
-        left = ranks.copy()
-        factors: list[list[PrimePower]] = [[] for _ in ranks]
+        size = hi - lo
+        flags = bytearray(b"\x01") * size
+        if lo == 1:
+            flags[0] = 0  # the rank 1 is not prime
+        # only a rank up to bound can equal a sieving prime
+        small = 2 * lo * (lo - 1) + 1 <= bound
         for p, pair in zip(self.primes, self.roots):
             if p > bound:
                 break
             for root in pair:
-                for i in range((root - lo) % p, hi - lo, p):
-                    c = left[i] // p
-                    e = 1
-                    while c % p == 0:
-                        c //= p
-                        e += 1
-                    left[i] = c
-                    # the same PrimePower, without the Python-level __new__ of a namedtuple
-                    factors[i].append(tuple.__new__(PrimePower, (p, e)))
-        proven = (bound + 1) ** 2  # a composite cofactor has two factors above bound
-        for c, fs in zip(left, factors):
-            if c >= proven:
-                fs += numtheory.factorize(c)
-            elif c > 1:
-                fs.append(PrimePower(c, 1))
-        return list(zip(ranks, factors))
+                start = (root - lo) % p
+                if small and 2 * (lo + start) * (lo + start - 1) + 1 == p:
+                    start += p  # the first multiple is p itself, a prime
+                if p < size:
+                    flags[start::p] = bytes(len(range(start, size, p)))
+                elif start < size:  # at most one multiple in the block
+                    flags[start] = 0
+        proven = (bound + 1) ** 2  # an unmarked composite has two factors above bound
+        if largest >= proven:  # only once bound is capped
+            for n in compress(range(lo, hi), flags):
+                rank = 2 * n * (n - 1) + 1
+                if rank >= proven and not numtheory.is_prime(rank):
+                    flags[n - lo] = 0
+        return flags
 
 
-def _factored_ranks(search_limit: int):
-    """Yield ``(n, (rank, factorization))`` for n = 1..search_limit, in order.
+def _rank_primality(search_limit: int):
+    """Yield ``(n, 1 if the rank of n is prime else 0)`` for n = 1..search_limit.
 
     The blocks start short and double up to a fixed length, so a caller
     that stops early has sieved few indices, whatever the search limit.
@@ -280,10 +289,15 @@ def build_certificate(count: int, search_limit: int) -> IndependenceCertificate:
     A witness is kept iff its max prime strictly exceeds the last kept
     one (rank-1 witnesses never qualify), until ``count`` are collected.
     Each kept witness equals ``certify(witness(n))``, but the ranks are
-    sieved a block of indices at a time (``_RankSieve``), not factored
-    one by one, and the sieve stops with the block of the last witness.
-    The result is not verified here; pass it to ``verify_certificate``.
-    Every rank in the range must be below ``numtheory.PRIMALITY_BOUND``.
+    sieved for primality a block of indices at a time (``_RankSieve``),
+    and almost none is factored.  A prime rank r(n), n >= 2, is always
+    kept, as ``((r, 1),)``: every factor of an earlier rank is at most
+    that rank, which is below r(n).  A composite rank's prime factors
+    are all 1 (mod 4), so its largest is at most r // 5; unless that
+    exceeds the last kept prime, the rank is skipped unfactored.  The
+    sieve stops with the block of the last witness.  The result is not
+    verified here; pass it to ``verify_certificate``.  Every rank in the
+    range must be below ``numtheory.PRIMALITY_BOUND``.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
@@ -296,10 +310,18 @@ def build_certificate(count: int, search_limit: int) -> IndependenceCertificate:
         )
     kept: list[CertifiedWitness] = []
     last = 1
-    for index, (rank, factors) in _factored_ranks(search_limit):
-        if factors and factors[-1].prime > last:
+    for index, prime in _rank_primality(search_limit):
+        rank = 2 * index * (index - 1) + 1
+        if prime:
+            # the same PrimePower, without the Python-level __new__ of a namedtuple
+            factors = (tuple.__new__(PrimePower, (rank, 1)),)
+        elif rank // 5 > last:  # else its largest prime cannot exceed last
+            factors = tuple(numtheory.factorize(rank))
+        else:
+            continue
+        if factors[-1].prime > last:
             last = factors[-1].prime
-            kept.append(CertifiedWitness(pretzel.witness(index), rank, tuple(factors), last))
+            kept.append(CertifiedWitness(pretzel.witness(index), rank, factors, last))
             if len(kept) == count:
                 break
     else:

@@ -26,8 +26,8 @@ SCHEMA_VERSION = "1"
 _DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
 
 
-def _canonical_json(value) -> str:
-    """``json.dumps(value, sort_keys=True, indent=2)``, byte for byte.
+def _canonical_json(value, end: str = "") -> str:
+    """``json.dumps(value, sort_keys=True, indent=2) + end``, byte for byte.
 
     Dictionary keys must be strings, as every envelope's are.  With an
     indent, ``json.dumps`` encodes in a pure-Python loop, one value at a
@@ -108,6 +108,7 @@ def _canonical_json(value) -> str:
         append(pad + "]")
 
     encode(value, "\n")
+    append(end)  # a trailing newline here costs no copy of the finished text
     return "".join(pieces)
 
 
@@ -134,7 +135,7 @@ def _emit(args, result: dict, text: str) -> None:
             "command": args.command,
             "result": result,
         }
-        _write(_canonical_json(envelope) + "\n")
+        _write(_canonical_json(envelope, "\n"))
     else:
         _write(text)
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 from functools import lru_cache
@@ -157,44 +158,44 @@ blocks = st.tuples(st.integers(1, 3000), st.integers(1, 300)).map(
 ) | st.builds(crossing_block, st.integers(0, 140), st.booleans(), st.integers(0, 40))
 
 
-def assert_block_matches_oracles(lo, hi, block):
-    assert len(block) == hi - lo
-    for n, (rank, factors) in zip(range(lo, hi), block):
-        assert rank == rank_of(n)
-        assert factors == sympy_factorization(rank)
-        assert all(type(f) is PrimePower for f in factors)
-        max_prime = factors[-1].prime if factors else 1
-        record = CertifiedWitness(witness(n), rank, tuple(factors), max_prime)
-        assert record == certify(witness(n))
+def primality_flags(lo, hi):
+    return [int(isprime(rank_of(n))) for n in range(lo, hi)]
+
+
+def assert_marks_match_sympy(lo, hi, flags):
+    assert type(flags) is bytearray
+    assert list(flags) == primality_flags(lo, hi)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(blocks)
-@example((1, 2))  # rank 1 alone
+@example((1, 2))  # rank 1 alone: neither prime nor marked by a sieving prime
 @example((1, 5))  # rank(4) = 25 = 5^2: the bound reaches 5 exactly
-@example((1, 4))  # without index 4 the bound is 3, and 5 and 13 are left over
+@example((1, 4))  # without index 4 the bound is 3: 5 and 13 are unmarked by bound alone
+@example((1, 64))  # the ranks 5, 13, 41 and 61 are sieving primes of this block
+@example((3, 40))  # not the first block, yet its ranks 13 and 41 are sieving primes
 @example((21, 22))  # rank(21) = 841 = 29^2
 @example((697, 698))  # rank(697) = 985^2 = 5^2 * 197^2
-@example((60, 70))  # across the end of the first block of _factored_ranks
+@example((60, 70))  # across the end of the first block of _rank_primality
 @example((741_455, 741_460))  # ranks pass the square of the prime cap
-def test_rank_sieve_block_matches_sympy_and_certify(lo_hi):
+def test_rank_sieve_block_marks_match_sympy(lo_hi):
     lo, hi = lo_hi
-    assert_block_matches_oracles(lo, hi, shared_sieve().block(lo, hi))
+    assert_marks_match_sympy(lo, hi, shared_sieve().block(lo, hi))
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
 @given(st.integers(1, 10**9), st.integers(1, 12))
-def test_rank_sieve_far_blocks_match_sympy(lo, width):
-    # ranks up to 2 * 10^18: the capped primes and factorize on the cofactors
-    assert_block_matches_oracles(lo, lo + width, shared_sieve().block(lo, lo + width))
+def test_rank_sieve_far_block_marks_match_sympy(lo, width):
+    # ranks up to 2 * 10^18: the capped primes and is_prime on the unmarked ranks
+    assert_marks_match_sympy(lo, lo + width, shared_sieve().block(lo, lo + width))
 
 
-def test_rank_sieve_is_independent_of_block_boundaries():
+def test_rank_sieve_marks_are_independent_of_block_boundaries():
     # the block schedule 64, 128, 256, ... and a search limit cut short
-    expected = [(rank_of(n), sympy_factorization(rank_of(n))) for n in range(1, 2001)]
-    assert [v for _, v in characters._factored_ranks(2000)] == expected
+    expected = primality_flags(1, 2001)
+    assert [v for _, v in characters._rank_primality(2000)] == expected
     for limit in (1, 63, 64, 65, 66, 192, 193, 194, 448, 449, 450, 960, 961):
-        got = list(characters._factored_ranks(limit))
+        got = list(characters._rank_primality(limit))
         assert [n for n, _ in got] == list(range(1, limit + 1))
         assert [v for _, v in got] == expected[:limit]
 
@@ -202,22 +203,25 @@ def test_rank_sieve_is_independent_of_block_boundaries():
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(st.sampled_from([6, 14, 30, 100]), st.integers(1, 10**6), st.integers(1, 30))
 @example(6, 1, 200)
-def test_rank_sieve_sends_cofactors_above_the_capped_bound_to_factorize(cap, lo, width):
+def test_rank_sieve_sends_unmarked_ranks_above_the_capped_bound_to_is_prime(cap, lo, width):
     calls = []
-    factorize = numtheory.factorize
+    is_prime = numtheory.is_prime
 
     def counted(x):
         calls.append(x)
-        return factorize(x)
+        return is_prime(x)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(characters, "SIEVE_PRIME_CAP", cap)
-        mp.setattr(numtheory, "factorize", counted)
+        mp.setattr(numtheory, "is_prime", counted)
         sieve = characters._RankSieve()
-        block = sieve.block(lo, lo + width)
-    assert_block_matches_oracles(lo, lo + width, block)
+        flags = sieve.block(lo, lo + width)
+    assert_marks_match_sympy(lo, lo + width, flags)
     assert all(p < cap for p in sieve.primes)
-    assert all(c >= cap * cap for c in calls)
+    # exactly the ranks that no prime below the cap divides, from its square
+    # on, each tested once; below it a rank with no such factor is prime
+    ranks = [rank_of(n) for n in range(lo, lo + width)]
+    assert calls == [r for r in ranks if r >= cap * cap and all(r % p for p in sieve.primes)]
     if (cap, lo, width) == (6, 1, 200):  # only 5 is sieved: 221 = 13 * 17 is left
         assert 221 in calls
 
@@ -246,21 +250,44 @@ def test_build_certificate_proves_no_prime_twice(monkeypatch):
     assert calls == []
 
 
+ORACLE_LIMIT = 3000
+
+
 @lru_cache(maxsize=1)
 def oracle_max_primes():
-    # index n -> largest prime of rank(n), by sympy, for n up to 2400
-    return [0] + [max(factorint(rank_of(n)), default=1) for n in range(1, 2401)]
+    # index n -> largest prime of rank(n), by sympy, for n up to ORACLE_LIMIT
+    return [0] + [max(factorint(rank_of(n)), default=1) for n in range(1, ORACLE_LIMIT + 1)]
 
 
-def greedy_oracle(count, limit):
+def greedy_oracle(count, limit, start=1):
+    # the greedy rule on sympy's factorizations, over indices start..limit
     max_primes = oracle_max_primes()
     kept = []
-    for n in range(1, limit + 1):
+    for n in range(start, limit + 1):
         if max_primes[n] > (max_primes[kept[-1]] if kept else 1):
             kept.append(n)
             if len(kept) == count:
                 break
     return kept
+
+
+def assert_matches_greedy_oracle(count, limit, start=1):
+    kept = greedy_oracle(count, limit, start)
+    if len(kept) < count:
+        with pytest.raises(SearchExhausted) as raised:
+            build_certificate(count, limit)
+        assert str(raised.value) == (
+            f"found only {len(kept)} of {count} witnesses with indices <= {limit}"
+        )
+        return
+    cert = build_certificate(count, limit)
+    assert [cw.witness.index for cw in cert.witnesses] == kept
+    assert list(cert.selected_primes) == [oracle_max_primes()[n] for n in kept]
+    for cw in cert.witnesses:
+        assert list(cw.factorization) == sympy_factorization(cw.rank)
+        assert all(type(f) is PrimePower for f in cw.factorization)
+        assert cw == certify(cw.witness)
+    assert verify_certificate(cert)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -272,16 +299,53 @@ def greedy_oracle(count, limit):
 @example(1, 1)
 @example(1, 2)
 def test_build_certificate_equals_a_greedy_scan_over_sympy(count, limit):
-    kept = greedy_oracle(count, limit)
-    if len(kept) < count:
-        with pytest.raises(SearchExhausted, match=f"found only {len(kept)} of {count} "):
-            build_certificate(count, limit)
-        return
-    cert = build_certificate(count, limit)
-    assert [cw.witness.index for cw in cert.witnesses] == kept
-    assert list(cert.selected_primes) == [oracle_max_primes()[n] for n in kept]
-    for cw in cert.witnesses:
-        assert list(cw.factorization) == sympy_factorization(cw.rank)
+    assert_matches_greedy_oracle(count, limit)
+
+
+@pytest.mark.parametrize("count", range(1, 61))
+def test_build_certificate_at_and_just_below_its_exhaustion_point(count):
+    # the count-th witness of the full scan sits at index needed: a search
+    # limit of needed builds the certificate, one less exhausts the search
+    needed = greedy_oracle(count, ORACLE_LIMIT)[-1]
+    assert_matches_greedy_oracle(count, needed)
+    assert_matches_greedy_oracle(count, needed - 1)
+
+
+def test_build_certificate_on_seeded_random_pairs():
+    rng = random.Random(19)
+    for _ in range(40):
+        assert_matches_greedy_oracle(rng.randint(1, 3000), rng.randint(1, ORACLE_LIMIT))
+
+
+@pytest.mark.parametrize(
+    "start, rejects", [(4, False), (7, False), (53, True), (239, True), (697, True), (1000, False)]
+)
+def test_build_certificate_factors_a_composite_above_five_times_the_last_prime(
+    monkeypatch, start, rejects
+):
+    # A full scan never factors: each prime rank raises the last kept prime
+    # too fast.  Started at index start with nothing kept, the greedy meets
+    # composite ranks r with r // 5 above the last kept prime and factors
+    # them: it keeps those whose largest prime is new, and rejects the rest.
+    rank_primality = characters._rank_primality
+    monkeypatch.setattr(
+        characters,
+        "_rank_primality",
+        lambda limit: itertools.islice(rank_primality(limit), start - 1, None),
+    )
+    assert_matches_greedy_oracle(30, ORACLE_LIMIT, start)
+    factored = []
+    factorize = numtheory.factorize
+
+    def counted(x):
+        factored.append(x)
+        return factorize(x)
+
+    monkeypatch.setattr(numtheory, "factorize", counted)
+    ranks = {cw.rank for cw in build_certificate(30, ORACLE_LIMIT).witnesses}
+    assert factored and not any(map(isprime, factored))
+    assert ranks & set(factored)
+    assert bool(set(factored) - ranks) == rejects
 
 
 def test_build_certificate_huge_search_limit_small_count_is_fast():
