@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from itertools import compress
 from math import isqrt
-from typing import Optional
+from typing import Iterator, Optional
 
 from . import numtheory, pretzel
 from ._frozen import Frozen, json_int
@@ -146,8 +146,8 @@ class IndependenceCertificate(Frozen):
         """Evaluation matrix as CSV: rows are primes, columns are witnesses."""
         header = ["prime"] + [f"witness_{cw.witness.index}" for cw in self.witnesses]
         lines = [",".join(header)]
-        for p, row in zip(self.selected_primes, self.evaluation):
-            lines.append(",".join([str(p)] + [str(v) for v in row]))
+        for p, text in zip(self.selected_primes, _joined_rows(self.evaluation, ",")):
+            lines.append(f"{p},{text}" if text else str(p))
         return "\n".join(lines) + "\n"
 
 
@@ -193,6 +193,39 @@ def _evaluation_matrix(witnesses, primes) -> tuple[tuple[int, ...], ...]:
             row[j] = e
         rows.append(tuple(row))
     return tuple(rows)
+
+
+# bytes 0..9 to their ASCII digits, every other byte to a marker (see _joined_rows)
+_DIGITS = bytes.maketrans(bytes(range(256)), b"0123456789" + b"x" * 246)
+
+
+def _joined_rows(rows, sep: str) -> Iterator[str]:
+    """Yield ``sep.join(map(str, row))`` for each row of integers; ``sep`` is ASCII.
+
+    The text of an evaluation matrix, as CSV and in the JSON envelope.
+    Nearly every entry of such a matrix lies in 0..9, and a row of
+    single digits is written with no Python step per entry: its
+    ``bytes`` are translated to ASCII digits and put, with one strided
+    slice assignment, into a buffer of digits and separators, made once
+    per row length.  Any other byte becomes the marker ``x``, and
+    ``bytes`` refuses an entry outside 0..255; either row is joined
+    entry by entry.
+    """
+    step = len(sep) + 1
+    width = None
+    for row in rows:
+        try:
+            digits = bytes(row).translate(_DIGITS)
+        except ValueError:
+            digits = b"x"
+        if b"x" in digits:
+            yield sep.join(map(str, row))
+            continue
+        if len(row) != width:
+            width = len(row)
+            text = bytearray(sep.join("0" * width).encode())
+        text[::step] = digits  # every digit is overwritten; the separators stay
+        yield text.decode()
 
 
 # The rank sieve's primes stay below this cap, so its memory is bounded

@@ -22,10 +22,6 @@ from .seifert import SeifertMatrix
 SCHEMA_VERSION = "1"
 
 
-# bytes 0..9 to the ASCII digits, for single-digit rows (see _canonical_json)
-_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
-
-
 def _canonical_json(value, end: str = "") -> str:
     """``json.dumps(value, sort_keys=True, indent=2) + end``, byte for byte.
 
@@ -36,16 +32,12 @@ def _canonical_json(value, end: str = "") -> str:
     into the result, so no piece is copied once per nesting level.  An
     exact ``int`` is its ``int.__repr__``, and a dictionary's ``int`` and
     ``str`` values are written in place, with no call per value.  A list
-    whose entries are all exactly ``int`` (a matrix row, a factorization
-    pair) is one piece.  When those entries all lie in 0..9, as nearly
-    every entry of an evaluation matrix does, the piece is a template of
-    separator-and-``0`` units whose digit bytes are overwritten by one
-    strided slice assignment of ``bytes(value).translate(...)``, with no
-    Python step per entry.  ``json`` is imported here, not with the
-    module, because text output never needs it; the encoders are
+    whose entries are all exactly ``int`` (a factorization pair, a list
+    of coefficients) is one piece.  ``json`` is imported here, not with
+    the module, because text output never needs it; the encoders are
     closures over the imports because an import statement in the
-    recursion runs once per value, which made a 150-row certificate's
-    envelope a third slower.
+    recursion runs once per value.  The certificate envelope has its own
+    writer, ``_certificate_json``.
     """
     import json
     from json.encoder import encode_basestring_ascii
@@ -97,12 +89,6 @@ def _canonical_json(value, end: str = "") -> str:
                 append(lead)
                 lead = sep
                 encode(item, inner)
-        elif 0 <= min(value) and max(value) <= 9:
-            unit = (sep + "0").encode()
-            row = bytearray(unit) * len(value)
-            row[0] = ord("[")
-            row[len(unit) - 1 :: len(unit)] = bytes(value).translate(_DIGITS)
-            append(row.decode())
         else:
             append("[" + inner + sep.join(map(str, value)))
         append(pad + "]")
@@ -138,6 +124,95 @@ def _emit(args, result: dict, text: str) -> None:
         _write(_canonical_json(envelope, "\n"))
     else:
         _write(text)
+
+
+# The certificate envelope, laid out as json.dumps(..., sort_keys=True,
+# indent=2) lays it out: each template sits at the depth where the
+# envelope nests it (see _certificate_json).
+_CERTIFICATE_HEAD = """{
+  "command": "certificate",
+  "result": {
+    "matrix": """
+_CERTIFICATE_TAIL = """,
+    "primes": %s,
+    "verified": %s,
+    "witnesses": %s
+  },
+  "schema_version": "%s"
+}
+"""
+_WITNESS_JSON = """{
+        "factorization": %s,
+        "max_prime": %d,
+        "rank": %d,
+        "witness": {
+          "genus": %d,
+          "index": %d,
+          "pretzel": [
+            %d,
+            %d,
+            %d
+          ],
+          "stab": %d,
+          "top_rank": %d
+        }
+      }"""
+_PAIR_JSON = """[
+            %d,
+            %d
+          ]"""
+
+
+def _json_list(joined: str, pad: str) -> str:
+    """A JSON list nested at ``pad``, from its items joined at ``pad`` plus two spaces."""
+    return f"[{pad}  {joined}{pad}]" if joined else "[]"
+
+
+def _certificate_json(cert: characters.IndependenceCertificate, verified: bool) -> str:
+    """The ``certificate --json`` envelope of ``cert``, ending in a newline.
+
+    It is ``_canonical_json`` of the envelope that ``cert.to_json()``
+    plus ``verified`` make, byte for byte, and reads every value from
+    the attribute or function that ``to_json`` reads; only the layout
+    is written here, once, in the templates above.  A witness is one
+    ``%`` template, and the matrix rows come from the row writer of
+    ``to_csv``, so no Python step is taken per matrix entry, no
+    dictionary of the envelope is built, and ``json`` is not imported.
+    """
+    # the rows go into the one final join uncopied: they are most of the text
+    pieces = [_CERTIFICATE_HEAD]
+    lead = "[\n      "
+    for text in characters._joined_rows(cert.evaluation, ",\n        "):
+        pieces += (lead, "[\n        ", text, "\n      ]") if text else (lead, "[]")
+        lead = ",\n      "
+    pieces.append("\n    ]" if cert.evaluation else "[]")
+    witnesses = []
+    for cw in cert.witnesses:
+        w = cw.witness
+        pairs = ",\n          ".join([_PAIR_JSON % (p, e) for p, e in cw.factorization])
+        witnesses.append(
+            _WITNESS_JSON
+            % (
+                _json_list(pairs, "\n        "),
+                cw.max_prime,
+                cw.rank,
+                w.genus,
+                w.index,
+                *w.base.strands,
+                w.stab_count,
+                pretzel.hfk_top_rank(w),
+            )
+        )
+    pieces.append(
+        _CERTIFICATE_TAIL
+        % (
+            _json_list(",\n      ".join(map(str, cert.selected_primes)), "\n    "),
+            "true" if verified else "false",
+            _json_list(",\n      ".join(witnesses), "\n    "),
+            SCHEMA_VERSION,
+        )
+    )
+    return "".join(pieces)
 
 
 def _parse_pretzel(text: str) -> PretzelKnot:
@@ -244,11 +319,9 @@ def cmd_certificate(args) -> int:
         except OSError as exc:
             raise ValueError(f"cannot write {args.csv}: {exc}") from None
     if args.json:
-        result = cert.to_json()
-        result["verified"] = bool(check)
-        _emit(args, result, "")
+        _write(_certificate_json(cert, bool(check)))
     else:
-        _emit(args, {}, csv + f"verified: {'true' if check else 'false'}\n")
+        _write(csv + f"verified: {'true' if check else 'false'}\n")
     if not check:
         return _report(check.reason, 1)
     return 0

@@ -17,6 +17,7 @@ from sympy import isprime
 
 from cli_calls import run_calls
 from knotrank import characters, cli, pretzel, seifert
+from knotrank.numtheory import PrimePower
 from knotrank.pretzel import PretzelKnot
 from knotrank.seifert import SeifertMatrix
 
@@ -63,7 +64,7 @@ json_values = st.recursive(
 @example((2**64, -(2**65), 0))
 @example("\u2603\x00\ud800")
 @example(float("nan"))
-@example([0, 9])  # single digits: one translate
+@example([0, 9])  # single digits
 @example([9, 10])  # a two-digit entry
 @example([0, True])  # a bool is not an exact int
 @example([-1, 0])  # a negative entry
@@ -450,6 +451,78 @@ def test_certificate_failing_verification_exits_one(capsys, monkeypatch):
     assert code == 1
     assert envelope["result"]["verified"] is False
     assert err == "error: selected value 15 at position 1 is not prime\n"
+
+
+def certificate_envelope(cert, verified: bool) -> str:
+    """The ``certificate --json`` output, from ``to_json`` and ``json.dumps``."""
+    result = {**cert.to_json(), "verified": verified}
+    envelope = {"schema_version": "1", "command": "certificate", "result": result}
+    return json.dumps(envelope, sort_keys=True, indent=2) + "\n"
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(1, 30), st.integers(1, 400), st.booleans())
+@example(1, 2, True)  # one row
+def test_certificate_writer_matches_json_dumps(count, limit, verified):
+    try:
+        cert = characters.build_certificate(count, limit)
+    except characters.SearchExhausted:
+        return
+    assert cli._certificate_json(cert, verified) == certificate_envelope(cert, verified)
+
+
+def hand_built_certificates():
+    real = characters.build_certificate(2, 10)
+    # rank 25 = 5^2: a rank, a max prime and an exponent that all differ
+    stabilized = characters.CertifiedWitness(pretzel.WitnessKnot(4, 2), 25, (PrimePower(5, 2),), 5)
+    rank_one = characters.CertifiedWitness(pretzel.WitnessKnot(1), 1, (), 1)
+    build = characters.IndependenceCertificate
+    return {
+        # the primes of test_certificate_failing_verification_exits_one
+        "tampered primes": (build(real.witnesses, (5, 15), real.evaluation), False),
+        # 10 is past a single digit, and bytes() refuses -1 and 256
+        "entries outside 0..9": (build(real.witnesses, (5, 13), ((1, 10), (-1, 256))), False),
+        "stabilized witness": (build((stabilized,), (5,), ((2,),)), True),
+        "empty factorization": (
+            build((rank_one, *real.witnesses), (1, 5, 13), ((0, 0, 0),) * 3),
+            False,
+        ),
+        "empty certificate": (build((), (), ()), False),
+        "empty row": (build((), (5,), ((),)), False),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(hand_built_certificates()))
+def test_certificate_writer_matches_json_dumps_on_hand_built_records(name):
+    cert, verified = hand_built_certificates()[name]
+    assert cli._certificate_json(cert, verified) == certificate_envelope(cert, verified)
+
+
+@pytest.mark.parametrize("name", sorted(hand_built_certificates()))
+def test_certificate_csv_matches_str_join_on_hand_built_records(name):
+    cert, _ = hand_built_certificates()[name]
+    header = ["prime"] + [f"witness_{cw.witness.index}" for cw in cert.witnesses]
+    rows = [[p, *row] for p, row in zip(cert.selected_primes, cert.evaluation)]
+    lines = [",".join(header)] + [",".join(map(str, row)) for row in rows]
+    assert cert.to_csv() == "\n".join(lines) + "\n"
+
+
+def test_certificate_json_calls_no_generic_encoder(capsys, monkeypatch):
+    cert = characters.build_certificate(3, 10_000)
+    expected = certificate_envelope(cert, True)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the certificate envelope is written from the record")
+
+    for owner, name in [
+        (characters.IndependenceCertificate, "to_json"),
+        (characters.CertifiedWitness, "to_json"),
+        (pretzel.WitnessKnot, "to_json"),
+        (cli, "_canonical_json"),
+    ]:
+        monkeypatch.setattr(owner, name, refuse)
+    code, out, err = run_cli(capsys, "certificate", "--count", "3", "--json")
+    assert (code, out, err) == (0, expected, "")
 
 
 def test_rank_index_two(capsys):

@@ -3,8 +3,8 @@
 Every command-line call starts a fresh interpreter, so a module the
 package imports without using is paid on every call.  ``dataclasses``
 (with ``inspect``) and ``fractions`` (with ``decimal``) once took most of
-the import time.  ``json`` loads only for ``--json`` output and
-``--seifert`` input.
+the import time.  ``json`` loads only for ``--seifert`` input and for
+the ``--json`` output of every command but ``certificate``.
 """
 
 import json
@@ -31,6 +31,10 @@ with redirect_stdout(io.StringIO()) as out:
     report["text_code"] = knotrank.cli.main(["witness", "--prime", "13"])
 report["text"] = out.getvalue()
 report["json_after_text"] = "json" in sys.modules
+with redirect_stdout(io.StringIO()) as out:
+    report["certificate_code"] = knotrank.cli.main(["certificate", "--count", "3", "--json"])
+report["certificate"] = out.getvalue()
+report["json_after_certificate"] = "json" in sys.modules
 with redirect_stdout(io.StringIO()) as out:
     report["json_code"] = knotrank.cli.main(["witness", "--prime", "13", "--json"])
 report["json"] = out.getvalue()
@@ -98,6 +102,13 @@ def test_text_command_leaves_json_unloaded(report):
     assert report["text_code"] == 0
     assert report["text"].startswith("prime: 13\n")
     assert not report["json_after_text"]
+
+
+def test_certificate_json_leaves_json_unloaded(report):
+    # its envelope is written straight from the certificate record
+    assert report["certificate_code"] == 0
+    assert json.loads(report["certificate"])["result"]["primes"] == [5, 13, 41]
+    assert not report["json_after_certificate"]
 
 
 def test_json_output_is_unchanged(report):
