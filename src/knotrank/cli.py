@@ -22,82 +22,6 @@ from .seifert import SeifertMatrix
 SCHEMA_VERSION = "1"
 
 
-def _canonical_json(value, end: str = "") -> str:
-    """``json.dumps(value, sort_keys=True, indent=2) + end``, byte for byte.
-
-    Dictionary keys must be strings, as every envelope's are.  With an
-    indent, ``json.dumps`` encodes in a pure-Python loop, one value at a
-    time.  Here, as in ``json.encoder._make_iterencode``, every piece of
-    the text is appended to one list, which a single ``str.join`` turns
-    into the result, so no piece is copied once per nesting level.  An
-    exact ``int`` is its ``int.__repr__``, and a dictionary's ``int`` and
-    ``str`` values are written in place, with no call per value.  A list
-    whose entries are all exactly ``int`` (a factorization pair, a list
-    of coefficients) is one piece.  ``json`` is imported here, not with
-    the module, because text output never needs it; the encoders are
-    closures over the imports because an import statement in the
-    recursion runs once per value.  The certificate envelope has its own
-    writer, ``_certificate_json``.
-    """
-    import json
-    from json.encoder import encode_basestring_ascii
-
-    pieces: list[str] = []
-    append = pieces.append
-
-    def encode(value, pad: str) -> None:
-        kind = type(value)
-        if kind is int:
-            append(int.__repr__(value))
-        elif kind is str:
-            append(encode_basestring_ascii(value))
-        elif isinstance(value, dict):
-            encode_dict(value, pad)
-        elif isinstance(value, (list, tuple)):
-            encode_list(value, pad)
-        else:
-            append(json.dumps(value))
-
-    def encode_dict(value: dict, pad: str) -> None:
-        if not value:
-            append("{}")
-            return
-        inner = pad + "  "
-        sep = "," + inner
-        lead = "{" + inner
-        for key, item in sorted(value.items()):
-            append(lead + encode_basestring_ascii(key) + ": ")
-            lead = sep
-            kind = type(item)
-            if kind is int:
-                append(int.__repr__(item))
-            elif kind is str:
-                append(encode_basestring_ascii(item))
-            else:
-                encode(item, inner)
-        append(pad + "}")
-
-    def encode_list(value, pad: str) -> None:
-        if not value:
-            append("[]")
-            return
-        inner = pad + "  "
-        sep = "," + inner
-        if {*map(type, value)} != {int}:
-            lead = "[" + inner
-            for item in value:
-                append(lead)
-                lead = sep
-                encode(item, inner)
-        else:
-            append("[" + inner + sep.join(map(str, value)))
-        append(pad + "]")
-
-    encode(value, "\n")
-    append(end)  # a trailing newline here costs no copy of the finished text
-    return "".join(pieces)
-
-
 def _write(text: str) -> None:
     """Write ``text`` to standard output and flush: its one writer.
 
@@ -116,12 +40,14 @@ def _emit(args, result: dict, text: str) -> None:
     ``text`` is the whole text output, ending in a newline.
     """
     if args.json:
+        import json  # here, not with the module: text output never needs it
+
         envelope = {
             "schema_version": SCHEMA_VERSION,
             "command": args.command,
             "result": result,
         }
-        _write(_canonical_json(envelope, "\n"))
+        _write(json.dumps(envelope, sort_keys=True, indent=2) + "\n")
     else:
         _write(text)
 
@@ -171,13 +97,15 @@ def _json_list(joined: str, pad: str) -> str:
 def _certificate_json(cert: characters.IndependenceCertificate, verified: bool) -> str:
     """The ``certificate --json`` envelope of ``cert``, ending in a newline.
 
-    It is ``_canonical_json`` of the envelope that ``cert.to_json()``
-    plus ``verified`` make, byte for byte, and reads every value from
-    the attribute or function that ``to_json`` reads; only the layout
-    is written here, once, in the templates above.  A witness is one
-    ``%`` template, and the matrix rows come from the row writer of
-    ``to_csv``, so no Python step is taken per matrix entry, no
-    dictionary of the envelope is built, and ``json`` is not imported.
+    Its reference is what ``_emit`` writes: ``json.dumps(envelope,
+    sort_keys=True, indent=2)`` and a newline, for the envelope that
+    ``cert.to_json()`` plus ``verified`` make.  It matches that byte for
+    byte and reads every value from the attribute or function that
+    ``to_json`` reads; only the layout is written here, once, in the
+    templates above.  A witness is one ``%`` template, and the matrix
+    rows come from the row writer of ``to_csv``, so no Python step is
+    taken per matrix entry, no dictionary of the envelope is built, and
+    ``json`` is not imported.
     """
     # the rows go into the one final join uncopied: they are most of the text
     pieces = [_CERTIFICATE_HEAD]
@@ -236,6 +164,8 @@ def _load_seifert(path: str) -> SeifertMatrix:
             data = json.load(fh)
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path} is not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path} is not valid JSON: {exc}") from None
     except RecursionError:
