@@ -9,7 +9,6 @@ those characters triangular with nonzero diagonal, hence of full rank.
 
 from __future__ import annotations
 
-from itertools import compress
 from math import isqrt
 from typing import Iterator, Optional
 
@@ -208,15 +207,15 @@ def _joined_rows(rows, sep: str) -> Iterator[str]:
     ``bytes`` are translated to ASCII digits and put, with one strided
     slice assignment, into a buffer of digits and separators, made once
     per row length.  Any other byte becomes the marker ``x``, and
-    ``bytes`` refuses an entry outside 0..255; either row is joined
-    entry by entry.
+    ``bytes`` refuses an entry outside 0..255 or one that is not an
+    integer, such as a float; either row is joined entry by entry.
     """
     step = len(sep) + 1
     width = None
     for row in rows:
         try:
             digits = bytes(row).translate(_DIGITS)
-        except ValueError:
+        except (TypeError, ValueError):
             digits = b"x"
         if b"x" in digits:
             yield sep.join(map(str, row))
@@ -228,10 +227,6 @@ def _joined_rows(rows, sep: str) -> Iterator[str]:
         yield text.decode()
 
 
-# The rank sieve's primes stay below this cap, so its memory is bounded
-# for every accepted search limit.  A rank it leaves unmarked at or above
-# the square of the cap may be composite and gets one ``numtheory.is_prime``.
-SIEVE_PRIME_CAP = 1 << 20
 # Blocks of witness indices start this long and double up to the maximum,
 # so a short certificate sieves few indices whatever its search limit.
 _FIRST_BLOCK = 64
@@ -248,34 +243,38 @@ class _RankSieve:
     has proven each p, so n0 comes from the root search alone, with no
     second primality test, through the one root-to-index formula,
     ``numtheory._root_index``.  A block is sieved with the two roots of
-    each such prime up to the square root of its largest rank (and below
-    ``SIEVE_PRIME_CAP``): one strided slice assignment per root marks
-    the multiples of p, except a rank equal to p, so a rank left
-    unmarked below the square of that bound is a prime.  This is the
+    each such prime up to the square root of its largest rank: one
+    strided slice assignment per root marks the multiples of p, except a
+    rank equal to p, so a rank left unmarked is a prime.  This is the
     Eratosthenes form of the quadratic sieve's polynomial-value sieve:
-    it marks composites and divides nothing.  Primality is all the
-    greedy of ``build_certificate`` needs.  It keeps every prime rank
-    r(n), n >= 2, since every factor of an earlier rank is at most that
-    rank, which is below r(n); and a composite rank's prime factors are
-    all 1 (mod 4), so its largest is at most r // 5.
+    it marks composites and divides nothing.  Its table of primes and
+    roots grows with the square root of the largest rank sieved, about
+    8 MB at index 10^6.  Primality is all the greedy of
+    ``build_certificate`` needs.  It keeps every prime rank r(n), n >= 2,
+    since every factor of an earlier rank is at most that rank, which is
+    below r(n); and a composite rank's prime factors are all 1 (mod 4),
+    so its largest is at most r // 5.
     """
 
     def __init__(self) -> None:
         self.primes: list[int] = []  # the primes 1 (mod 4) up to self.top, ascending
-        self.roots: list[tuple[int, int]] = []  # for each, the n mod p with p | r(n)
+        # for each prime up to the largest bound sieved yet, the n mod p with p | r(n)
+        self.roots: list[tuple[int, int]] = []
         self.top = 1
 
     def block(self, lo: int, hi: int) -> bytearray:
         """Entry i is 1 if the rank of witness index lo + i is prime, else 0; 1 <= lo < hi."""
         largest = 2 * (hi - 1) * (hi - 2) + 1
-        bound = min(isqrt(largest), SIEVE_PRIME_CAP - 1)
+        bound = isqrt(largest)
         if bound > self.top:
             # doubling keeps the total cost of the re-sieves linear
-            self.top = min(max(bound, 2 * self.top), SIEVE_PRIME_CAP - 1)
-            for p in numtheory.primes_one_mod_four(self.top)[len(self.primes) :]:
-                n0 = numtheory._root_index(numtheory._pinned_root(p), p)
-                self.primes.append(p)
-                self.roots.append((n0, (1 - n0) % p))
+            self.top = max(bound, 2 * self.top)
+            self.primes = numtheory.primes_one_mod_four(self.top)
+        for p in self.primes[len(self.roots) :]:
+            if p > bound:
+                break  # its roots wait for a block that sieves with it
+            n0 = numtheory._root_index(numtheory._pinned_root(p), p)
+            self.roots.append((n0, (1 - n0) % p))
         size = hi - lo
         flags = bytearray(b"\x01") * size
         if lo == 1:
@@ -293,12 +292,6 @@ class _RankSieve:
                     flags[start::p] = bytes(len(range(start, size, p)))
                 elif start < size:  # at most one multiple in the block
                     flags[start] = 0
-        proven = (bound + 1) ** 2  # an unmarked composite has two factors above bound
-        if largest >= proven:  # only once bound is capped
-            for n in compress(range(lo, hi), flags):
-                rank = 2 * n * (n - 1) + 1
-                if rank >= proven and not numtheory.is_prime(rank):
-                    flags[n - lo] = 0
         return flags
 
 
@@ -435,7 +428,7 @@ def verify_certificate(cert: IndependenceCertificate) -> VerificationResult:
             product *= p**e
         if product != cw.rank:
             return fail(f"witness {j}: factorization does not multiply back to the rank")
-        expected_max = cw.factorization[-1].prime if cw.factorization else 1
+        expected_max = cw.factorization[-1][0] if cw.factorization else 1
         if cw.max_prime != expected_max:
             return fail(f"witness {j}: stored max prime {cw.max_prime} is wrong")
     # The checks above make the selected primes, and each witness's factors,

@@ -185,7 +185,7 @@ def _resolve_polynomial(args) -> tuple[LaurentPoly, int]:
 def cmd_alexander(args) -> int:
     poly, _ = _resolve_polynomial(args)
     result = {"alexander": poly.to_json(), "pretty": str(poly)}
-    _emit(args, result, f"{poly}\n")
+    _emit(args, result, result["pretty"] + "\n")
     return 0
 
 
@@ -284,7 +284,7 @@ def cmd_rank(args) -> int:
         "alexander": poly.to_json(),
         "pretty": str(poly),
     }
-    text = f"rank: {result['rank']}\ngenus: {w.genus}\nalexander: {poly}\n"
+    text = f"rank: {result['rank']}\ngenus: {w.genus}\nalexander: {result['pretty']}\n"
     if args.stab == 0:
         split = pretzel.hfk_bigraded(w)
         result["bigraded"] = [[g, r] for g, r in split]

@@ -1,7 +1,9 @@
+import hashlib
 import itertools
 import random
 import time
 from functools import lru_cache
+from math import isqrt
 
 import pytest
 from hypothesis import example, given, settings
@@ -139,8 +141,8 @@ def sympy_factorization(r):
 
 @lru_cache(maxsize=1)
 def shared_sieve():
-    # one sieve for every example: near index 10^9 it needs every prime
-    # below the cap, and those are found once
+    # one sieve for every example: near index 2 * 10^6 it needs every prime
+    # 1 (mod 4) up to about 2.8 * 10^6, and those are found once
     return characters._RankSieve()
 
 
@@ -177,17 +179,26 @@ def assert_marks_match_sympy(lo, hi, flags):
 @example((21, 22))  # rank(21) = 841 = 29^2
 @example((697, 698))  # rank(697) = 985^2 = 5^2 * 197^2
 @example((60, 70))  # across the end of the first block of _rank_primality
-@example((741_455, 741_460))  # ranks pass the square of the prime cap
+@example((741_455, 741_460))  # ranks pass 2^40
 def test_rank_sieve_block_marks_match_sympy(lo_hi):
     lo, hi = lo_hi
     assert_marks_match_sympy(lo, hi, shared_sieve().block(lo, hi))
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
-@given(st.integers(1, 10**9), st.integers(1, 12))
+@given(st.integers(1, 2 * 10**6), st.integers(1, 12))
+@example(741_455, 5)  # ranks on both sides of 2^40
+@example(741_470, 12)  # the prime ranks of 741,476, 741,478 and 741,480
+@example(1_999_989, 12)  # the top of the range, with the prime rank of 1,999,991
 def test_rank_sieve_far_block_marks_match_sympy(lo, width):
-    # ranks up to 2 * 10^18: the capped primes and is_prime on the unmarked ranks
-    assert_marks_match_sympy(lo, lo + width, shared_sieve().block(lo, lo + width))
+    # ranks up to about 8 * 10^12, each proven by the marks alone
+    def refuse(x):
+        raise AssertionError(f"is_prime({x}) called")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(numtheory, "is_prime", refuse)
+        flags = shared_sieve().block(lo, lo + width)
+    assert_marks_match_sympy(lo, lo + width, flags)
 
 
 def test_rank_sieve_marks_are_independent_of_block_boundaries():
@@ -200,33 +211,31 @@ def test_rank_sieve_marks_are_independent_of_block_boundaries():
         assert [v for _, v in got] == expected[:limit]
 
 
-@settings(max_examples=30, deadline=None, derandomize=True)
-@given(st.sampled_from([6, 14, 30, 100]), st.integers(1, 10**6), st.integers(1, 30))
-@example(6, 1, 200)
-def test_rank_sieve_sends_unmarked_ranks_above_the_capped_bound_to_is_prime(cap, lo, width):
+def test_rank_sieve_searches_roots_only_for_the_primes_it_sieves_with(monkeypatch):
+    # the table of primes doubles past the last block's bound; its roots do not
     calls = []
-    is_prime = numtheory.is_prime
+    pinned_root = numtheory._pinned_root
 
-    def counted(x):
-        calls.append(x)
-        return is_prime(x)
+    def counted(p):
+        calls.append(p)
+        return pinned_root(p)
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(characters, "SIEVE_PRIME_CAP", cap)
-        mp.setattr(numtheory, "is_prime", counted)
-        sieve = characters._RankSieve()
-        flags = sieve.block(lo, lo + width)
-    assert_marks_match_sympy(lo, lo + width, flags)
-    assert all(p < cap for p in sieve.primes)
-    # exactly the ranks that no prime below the cap divides, from its square
-    # on, each tested once; below it a rank with no such factor is prime
-    ranks = [rank_of(n) for n in range(lo, lo + width)]
-    assert calls == [r for r in ranks if r >= cap * cap and all(r % p for p in sieve.primes)]
-    if (cap, lo, width) == (6, 1, 200):  # only 5 is sieved: 221 = 13 * 17 is left
-        assert 221 in calls
+    monkeypatch.setattr(numtheory, "_pinned_root", counted)
+    list(characters._rank_primality(65472))  # the scan of a count-8000 certificate
+    assert calls == primes_one_mod_four(isqrt(rank_of(65472)))
+    assert len(calls) == 4459
 
 
-def test_rank_sieve_needs_no_factorize_below_the_cap(monkeypatch):
+def test_rank_primality_flags_to_a_million_are_pinned():
+    # the digest was taken from flags that a Miller-Rabin test on each
+    # unmarked rank decided above index 741,455: an independent route
+    flags = bytes(v for _, v in characters._rank_primality(10**6))
+    assert sum(flags) == 104_893
+    digest = "3beab196440ff2282f8a8de4c9f486aee438fe323e51c5ffc0fc9d209b0fd5ea"
+    assert hashlib.sha256(flags).hexdigest() == digest
+
+
+def test_rank_sieve_needs_no_factorize(monkeypatch):
     def refuse(x):
         raise AssertionError(f"factorize({x}) called")
 
@@ -236,8 +245,8 @@ def test_rank_sieve_needs_no_factorize_below_the_cap(monkeypatch):
 
 
 def test_build_certificate_proves_no_prime_twice(monkeypatch):
-    # the Eratosthenes sieve proves the sieving primes, and every leftover
-    # of these ranks is below the square of the bound: no Miller-Rabin test
+    # the Eratosthenes sieve proves the sieving primes, and the marks prove
+    # every rank: no Miller-Rabin test
     calls = []
     real_is_prime = numtheory.is_prime
 
@@ -450,6 +459,13 @@ def test_verify_accepts_an_entry_above_the_diagonal_and_an_exponent_of_two():
         result = verify_certificate(tampered)
         assert not result
         assert result.reason == "evaluation[0][1] does not match the factorizations"
+
+
+def test_verify_accepts_a_factorization_of_plain_pairs():
+    # records are not validated at construction: a factor may be a plain (p, e) tuple
+    cw = CertifiedWitness(WitnessKnot(2), 5, ((5, 1),), 5)
+    result = verify_certificate(IndependenceCertificate((cw,), (5,), ((1,),)))
+    assert result == VerificationResult(True)
 
 
 # index n whose rank 2n^2 - 2n + 1 has the least strong pseudoprime to the 13

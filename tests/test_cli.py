@@ -17,6 +17,7 @@ from sympy import isprime
 
 from cli_calls import run_calls
 from knotrank import characters, cli, pretzel, seifert
+from knotrank.laurent import LaurentPoly
 from knotrank.numtheory import PrimePower
 from knotrank.pretzel import PretzelKnot
 from knotrank.seifert import SeifertMatrix
@@ -422,6 +423,24 @@ def test_envelope_is_pinned_byte_for_byte(capsys, command):
     assert hashlib.sha256(out.encode()).hexdigest() == ENVELOPE_SHA256[command]
 
 
+@pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize(
+    "command", ["alexander --pretzel -1,3,3", "rank --index 3 --stab 2", "rank --index 2"]
+)
+def test_polynomial_is_formatted_once_per_command(capsys, monkeypatch, command, mode):
+    calls = []
+    to_text = LaurentPoly.__str__
+
+    def counted(poly):
+        calls.append(poly)
+        return to_text(poly)
+
+    monkeypatch.setattr(LaurentPoly, "__str__", counted)
+    code, _, err = run_cli(capsys, *command.split(), *mode)
+    assert (code, err) == (0, "")
+    assert len(calls) == 1
+
+
 def test_certificate_text_output_ends_with_verified(capsys):
     code, out, _ = run_cli(capsys, "certificate", "--count", "2", "--search-limit", "10")
     assert code == 0
@@ -470,6 +489,8 @@ def hand_built_certificates():
         "tampered primes": (build(real.witnesses, (5, 15), real.evaluation), False),
         # 10 is past a single digit, and bytes() refuses -1 and 256
         "entries outside 0..9": (build(real.witnesses, (5, 13), ((1, 10), (-1, 256))), False),
+        # bytes() refuses a float with a TypeError, not a ValueError
+        "float entry": (build(real.witnesses, (5, 13), ((1, 0.5), (0, 1))), False),
         "stabilized witness": (build((stabilized,), (5,), ((2,),)), True),
         "empty factorization": (
             build((rank_one, *real.witnesses), (1, 5, 13), ((0, 0, 0),) * 3),
