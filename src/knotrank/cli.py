@@ -262,13 +262,15 @@ def cmd_rank(args) -> int:
         raise ValueError(f"--index must be >= 1, got {args.index}")
     if args.stab < 0:
         raise ValueError(f"--stab must be >= 0, got {args.stab}")
-    # The coefficients of (1 - t + t^2)^K are, up to sign, those of
-    # (1 + t + t^2)^K: 2K + 1 of them, summing to 3^K in absolute value.
-    # So the largest is at least 3^K / (2K + 1), and once that bound has
-    # more digits than Python converts to text (one digit to spare for
-    # the rounding of the logarithms), printing the polynomial must fail.
+    # --stab K prints the genus-(K + 1) power, and the coefficients of
+    # (1 - t + t^2)^g are, up to sign, those of (1 + t + t^2)^g: 2g + 1 of
+    # them, summing to 3^g in absolute value.  So the largest is at least
+    # 3^g / (2g + 1), and once that bound has more digits than Python
+    # converts to text (one digit to spare for the rounding of the
+    # logarithms), printing the polynomial must fail.
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # no limit before 3.10.7
-    if limit and args.stab > (limit + 1 + math.log10(2 * args.stab + 1)) / math.log10(3):
+    g = args.stab + 1
+    if limit and g > (limit + 1 + math.log10(2 * g + 1)) / math.log10(3):
         raise ValueError(
             f"--stab {args.stab} is too large: the Alexander polynomial would have "
             f"coefficients of more than {limit} digits, the limit for integer "

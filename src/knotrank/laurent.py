@@ -3,7 +3,8 @@
 A polynomial is stored as the exponent of its lowest term plus a dense
 coefficient tuple; both ends of the tuple are kept nonzero by the
 constructor, so structural equality is semantic equality.  All values
-are immutable and every operation returns a new polynomial.
+are immutable: every operation returns a new polynomial, or the same
+one where nothing changes (``normalize`` of a normal polynomial).
 """
 
 from __future__ import annotations
@@ -153,13 +154,16 @@ class LaurentPoly(Frozen):
         """Canonical form: lowest exponent 0 and value +1 at t = 1.
 
         Well defined exactly for polynomials with value +-1 at t = 1,
-        which covers every Alexander polynomial of a knot.  Idempotent.
+        which covers every Alexander polynomial of a knot.  Idempotent:
+        a polynomial that is already normal is returned as it is.
         """
         if not self.coeffs:
             raise ZeroPolynomial("cannot normalize the zero polynomial")
         at_one = sum(self.coeffs)
         if at_one not in (1, -1):
             raise NotUnitAtOne(f"value at t = 1 is {at_one}, expected +1 or -1")
+        if at_one == 1 and self.lowest == 0:
+            return self
         coeffs = self.coeffs if at_one == 1 else tuple(-c for c in self.coeffs)
         return LaurentPoly(0, coeffs)
 

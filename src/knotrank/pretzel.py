@@ -143,5 +143,17 @@ def alexander_of_witness(w: WitnessKnot) -> LaurentPoly:
     n^2 + n^3 - n^3 = 1, and c*(t-1)^2 + t is the trefoil's 1 - t + t^2
     for every index.  Connected sums multiply Alexander polynomials, so
     stab_count trefoil summands make it (1 - t + t^2)^(stab_count + 1).
+
+    The power is J.C.P. Miller's recurrence of ``LaurentPoly.__pow__``
+    with q = 1 - t + t^2 written in: for f = q^g, q_0 = 1, q_1 = -1 and
+    q_2 = 1 turn j * f_j = sum over a of ((g + 1) * a - j) * q_a * f_(j - a)
+    into j * f_j = (j - g - 1) * f_(j - 1) + (2g + 2 - j) * f_(j - 2), with
+    f_0 = 1 and f_1 = -g.  Since q_0 = 1 there is no other divisor, and
+    f_j is an integer, so each division by j is exact.  q is a palindrome,
+    so f is one too: f_0..f_g are computed and mirrored.
     """
-    return TREFOIL_ALEXANDER**w.genus
+    g = w.genus
+    f = [1, -g]
+    for j in range(2, g + 1):
+        f.append(((j - g - 1) * f[j - 1] + (2 * g + 2 - j) * f[j - 2]) // j)
+    return LaurentPoly(0, f + f[g - 1 :: -1])

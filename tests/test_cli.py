@@ -943,7 +943,7 @@ def test_in_process_call_with_no_stdout_exits_two(capsys, monkeypatch):
 
 
 def test_rank_large_stabilization_within_budget():
-    # (1 - t + t^2)^3000 by dense repeated squaring ran past 20 s
+    # (1 - t + t^2)^3001 by dense repeated squaring ran past 20 s
     start = time.perf_counter()
     proc = run_module("rank", "--index", "3", "--stab", "3000", "--json", timeout=30)
     elapsed = time.perf_counter() - start
@@ -956,7 +956,7 @@ def test_rank_large_stabilization_within_budget():
 
 
 def test_rank_past_the_int_string_limit_exits_two():
-    # the largest coefficient of (1 - t + t^2)^9100 has more than 4300 digits
+    # the largest coefficient of (1 - t + t^2)^9101 has more than 4300 digits
     proc = run_module("rank", "--index", "3", "--stab", "9100", timeout=30)
     assert proc.returncode == 2
     assert proc.stdout == ""
@@ -974,6 +974,23 @@ def test_rank_refuses_an_unprintable_stabilization_up_front():
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: --stab 100000 is too large")
     assert "4300 digits" in proc.stderr and len(proc.stderr.splitlines()) == 1
+
+
+def test_rank_refuses_the_genus_9024_power_before_computing_it(capsys, monkeypatch):
+    # --stab 9023 prints the genus-9024 power, whose largest coefficient has
+    # 4304 digits; the bound for the genus-9023 power let it through
+    def refuse(*args):
+        raise AssertionError("rank computed a polynomial it then refused")
+
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        monkeypatch.setattr(pretzel, "alexander_of_witness", refuse)
+        code, out, err = run_cli(capsys, "rank", "--index", "3", "--stab", "9023")
+    finally:
+        sys.set_int_max_str_digits(before)
+    assert code == 2 and out == ""
+    assert err.startswith("error: --stab 9023 is too large") and len(err.splitlines()) == 1
 
 
 def test_rank_refuses_only_what_could_not_be_printed(capsys):

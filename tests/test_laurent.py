@@ -66,6 +66,17 @@ def test_normalize_is_identity_on_normalized_input():
     assert ONE_MINUS_T_PLUS_T2.normalize() == ONE_MINUS_T_PLUS_T2
 
 
+def test_normalize_returns_a_normal_polynomial_itself():
+    poly = LaurentPoly(0, (2, -3, 2))
+    assert poly.normalize() is poly
+    # a shift, a sign and both still build a new, equal polynomial
+    for lowest, sign in ((3, 1), (0, -1), (-2, -1)):
+        other = LaurentPoly(lowest, tuple(sign * c for c in poly.coeffs))
+        normalized = other.normalize()
+        assert normalized is not other
+        assert normalized == poly
+
+
 def test_normalize_shifts_negative_exponents():
     assert LaurentPoly(-1, (1, -1, 1)).normalize() == ONE_MINUS_T_PLUS_T2
 

@@ -144,12 +144,27 @@ def test_alexander_of_witness_one_trefoil():
 
 
 def test_alexander_of_witness_matches_dict_oracle_powers():
+    # the trefoil's g-th power by schoolbook products, for genus 1 to 60
     trefoil = poly_to_dict(TREFOIL_ALEXANDER)
-    for k in range(5):
-        expected = {0: 1}
-        for _ in range(k + 1):
-            expected = d_mul(expected, trefoil)
-        assert poly_to_dict(alexander_of_witness(WitnessKnot(4, k))) == expected
+    expected = {0: 1}
+    for g in range(1, 61):
+        expected = d_mul(expected, trefoil)
+        assert poly_to_dict(alexander_of_witness(WitnessKnot(4, g - 1))) == expected
+
+
+def test_alexander_of_witness_matches_the_general_power_at_genus_3001():
+    # the two-term recurrence against LaurentPoly.__pow__'s general one
+    assert alexander_of_witness(WitnessKnot(3, 3000)) == TREFOIL_ALEXANDER**3001
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 10, 61, 500, 3001])
+def test_alexander_of_witness_is_a_palindrome_with_the_trefoil_values(g):
+    poly = alexander_of_witness(WitnessKnot(2, g - 1))
+    assert poly.lowest == 0 and len(poly.coeffs) == 2 * g + 1
+    assert poly.coeffs == poly.coeffs[::-1]
+    assert poly.eval_at(1) == 1
+    # 1 - t + t^2 is 3 at t = -1
+    assert abs(poly.eval_at(-1)) == 3**g
 
 
 def test_alexander_of_witness_builds_no_pretzel_and_multiplies_nothing(monkeypatch):
@@ -157,12 +172,16 @@ def test_alexander_of_witness_builds_no_pretzel_and_multiplies_nothing(monkeypat
     def refuse(*args):
         raise AssertionError("alexander_of_witness derived the base pretzel's polynomial")
 
+    cases = ((1, 0), (7, 0), (1000, 0), (3, 1), (1000, 12))
+    expected = [TREFOIL_ALEXANDER ** (k + 1) for _, k in cases]
     monkeypatch.setattr(pretzel, "alexander_closed_form", refuse)
     monkeypatch.setattr(WitnessKnot, "base", property(refuse))
     monkeypatch.setattr(LaurentPoly, "__mul__", refuse)
     monkeypatch.setattr(LaurentPoly, "__rmul__", refuse)
-    for n, k in ((1, 0), (7, 0), (1000, 0), (3, 1), (1000, 12)):
-        assert alexander_of_witness(WitnessKnot(n, k)) == TREFOIL_ALEXANDER ** (k + 1)
+    # nor does it take the general power: its own recurrence is the only route
+    monkeypatch.setattr(LaurentPoly, "__pow__", refuse)
+    for (n, k), poly in zip(cases, expected):
+        assert alexander_of_witness(WitnessKnot(n, k)) == poly
 
 
 def test_alexander_of_witness_equals_the_base_pretzel_times_trefoils():
