@@ -3,31 +3,34 @@
 ``alexander_from_seifert`` computes det(V - t*V^T) in O(n^3) for n = 2g:
 V - t*V^T = S * (I + (1 - t) * M) with S = V - V^T and M = S^-1 * V^T,
 so the determinant is det(S) times a characteristic polynomial.  One
-modulus P, a prime power above twice Hadamard's bound on the
-coefficients, carries the whole computation: Gauss-Jordan elimination
-for M, a similarity reduction to upper Hessenberg form and the
-Hessenberg recurrence for the characteristic polynomial (Cohen, *A
+modulus P = 2^k, the least power of two above twice Hadamard's bound
+on the coefficients, carries the whole computation: Gauss-Jordan
+elimination for M, a similarity reduction to upper Hessenberg form and
+the Hessenberg recurrence for the characteristic polynomial (Cohen, *A
 Course in Computational Algebraic Number Theory*, 2.2.4), then the
 symmetric residues, which are the exact coefficients.  Their sum
 Delta(1) = det(S) tells whether V is a knot's.
-The elimination and the reduction defer their ``% P``: entries may be
-unreduced between steps, and each value that is tested for zero as a
+Both eliminations pivot on an entry of least 2-adic valuation.  A knot
+has det(S) = +-1, which is odd, so every Gauss-Jordan column has an odd
+pivot, a unit modulo 2^k; a column without one means det(S) is even,
+and V is not a knot's.  In the Hessenberg reduction the pivot 2^v * u,
+u odd, divides every other entry of its column modulo 2^k.  So no pivot
+fails and no other modulus is ever needed.
+The elimination and the reduction defer their ``& (P - 1)``: entries
+may be unreduced between steps, and each value that is tested as a
 pivot, inverted or used as a multiplier is reduced first.  A value and
 its reduction have the same residue, so the routine takes the same
-branches and returns the same residues as with every entry reduced,
-for any modulus, prime or not.
+branches and returns the same residues as with every entry reduced.
 """
 
 from __future__ import annotations
 
-from itertools import count
 from math import isqrt
 from operator import mul
 from typing import Sequence
 
 from ._frozen import Frozen, json_int
 from .laurent import LaurentPoly, NotUnitAtOne
-from .numtheory import is_prime
 
 
 class SeifertMatrix(Frozen):
@@ -156,30 +159,51 @@ def _coefficient_bound(e: Sequence[Sequence[int]]) -> int:
     return isqrt(product) + 1
 
 
-def _alexander_mod(e: Sequence[Sequence[int]], p: int) -> list[int]:
-    """The coefficients of det(V - t*V^T) modulo p, lowest first.
+def _pivot(rows: list[list[int]], col: int, start: int, mask: int) -> tuple[int, int]:
+    """The first row from ``start`` whose entry in column ``col`` has the
+    least 2-adic valuation modulo 2^k = mask + 1, and that entry reduced.
 
-    Every step is a ring operation modulo p, and every division is by a
-    pivot inverted modulo p, so the result is correct for any modulus
-    p >= 2, prime or not.  ``NotUnitAtOne`` means S = V - V^T is singular
-    modulo p: with every earlier pivot a unit, p divides det(S), which is
-    then not +-1.  A plain ``ValueError`` means a pivot is nonzero but not
-    a unit, which needs a composite p.
+    An odd entry ends the search.  The entry is 0 when every one is.
+    """
+    best, pivot = start, 0
+    for r in range(start, len(rows)):
+        x = rows[r][col] & mask
+        if x & 1:
+            return r, x
+        if x and (not pivot or x & -x < pivot & -pivot):
+            best, pivot = r, x
+    return best, pivot
+
+
+def _alexander_mod(e: Sequence[Sequence[int]], p: int) -> list[int]:
+    """The coefficients of det(V - t*V^T) modulo p = 2^k, lowest first.
+
+    Every step is a ring operation modulo p, so the result is correct for
+    any power of two p >= 2.  Gauss-Jordan on S = V - V^T divides only by
+    odd pivots, units modulo p.  If a column has no odd entry left, det(S)
+    is even (with every earlier pivot odd, S is singular modulo 2), and
+    this raises ``NotUnitAtOne``; if det(S) is odd, every column has one.
+    The Hessenberg reduction pivots on an entry x = 2^v * u of least
+    2-adic valuation, u odd, so every entry y below it in its column is
+    2^v times (y >> v), and the multiplier (y >> v) * u^-1 clears y
+    modulo p.  The similarity is unipotent, so the characteristic
+    polynomial is unchanged; a column that is 0 modulo p is skipped.
 
     The reductions are deferred.  Between steps an entry may be
-    unreduced: a row update is x - u*y with no ``% p``.  Every value that
-    is tested for zero as a pivot, inverted, or used as a multiplier is
+    unreduced: a row update is x - u*y with no reduction.  Every value
+    that is tested as a pivot, inverted, or used as a multiplier is
     reduced first, and so is the pivot row an update reads; a column
     operation's sum is reduced as it is written, one entry per row.  A
     reduced value has the same residue as the unreduced one, so every
-    branch (the pivot chosen, a skipped column, ``NotUnitAtOne`` or
-    ``ValueError``) and every residue is what it would be with every
-    entry kept reduced, for any modulus.  As u and y are residues, an
-    entry grows only by sums of products of two residues, never
-    multiplicatively.  The Hessenberg part is reduced once before the
-    characteristic-polynomial recurrence, which works on residues.
+    branch (the pivot chosen, a skipped column, ``NotUnitAtOne``) and
+    every residue is what it would be with every entry kept reduced.  As
+    u and y are residues, an entry grows only by sums of products of two
+    residues, never multiplicatively.  The Hessenberg part is reduced
+    once before the characteristic-polynomial recurrence, which works on
+    residues.
     """
     n = len(e)
+    mask = p - 1
     # Gauss-Jordan on [S | -V^T] leaves [I | N] with N = -S^-1 * V^T.
     # Columns up to c hold the identity once column c is done; they are
     # never read again, so row operations skip them and they are dropped.
@@ -188,21 +212,18 @@ def _alexander_mod(e: Sequence[Sequence[int]], p: int) -> list[int]:
     ]
     det_s = 1
     for c in range(n):
-        for r in range(c, n):
-            pivot = rows[r][c] % p
-            if pivot:
-                break
-        else:
-            raise NotUnitAtOne(f"V - V^T is singular modulo {p}")
+        r, pivot = _pivot(rows, c, c, mask)
+        if not pivot & 1:
+            raise NotUnitAtOne(f"det(V - V^T) is even: column {c} has no odd pivot")
         if r != c:
             rows[c], rows[r] = rows[r], rows[c]
             det_s = -det_s
-        det_s = det_s * pivot % p
-        inv = pow(pivot, -1, p)  # ValueError unless a unit
-        pivot_tail = [x * inv % p for x in rows[c][c + 1 :]]
+        det_s = det_s * pivot & mask
+        inv = pow(pivot, -1, p)
+        pivot_tail = [x * inv & mask for x in rows[c][c + 1 :]]
         rows[c][c + 1 :] = pivot_tail
         for i, row in enumerate(rows):
-            f = row[c] % p
+            f = row[c] & mask
             if f and i != c:
                 row[c + 1 :] = [x - f * y for x, y in zip(row[c + 1 :], pivot_tail)]
     for row in rows:
@@ -213,31 +234,29 @@ def _alexander_mod(e: Sequence[Sequence[int]], p: int) -> list[int]:
     # product per row.  Row operations skip the columns left of k, which
     # hold zeros, and write column k's residue, 0, without computing it.
     for k in range(n - 2):
-        for r in range(k + 1, n):
-            pivot = h[r][k] % p
-            if pivot:
-                break
-        else:
+        r, pivot = _pivot(h, k, k + 1, mask)
+        if not pivot:
             continue
         if r != k + 1:
             h[k + 1], h[r] = h[r], h[k + 1]
             for row in h:
                 row[k + 1], row[r] = row[r], row[k + 1]
-        pivot_tail = [x % p for x in h[k + 1][k + 1 :]]
+        pivot_tail = [x & mask for x in h[k + 1][k + 1 :]]
         h[k + 1][k + 1 :] = pivot_tail
-        inv = pow(pivot, -1, p)  # ValueError unless a unit
-        factors = [h[i][k] * inv % p for i in range(k + 2, n)]
+        v = (pivot & -pivot).bit_length() - 1
+        inv = pow(pivot >> v, -1, p)
+        factors = [((h[i][k] & mask) >> v) * inv & mask for i in range(k + 2, n)]
         if any(factors):
             for u, row in zip(factors, h[k + 2 :]):
                 if u:
                     row[k] = 0
                     row[k + 1 :] = [x - u * y for x, y in zip(row[k + 1 :], pivot_tail)]
             for row in h:
-                row[k + 1] = (row[k + 1] + sum(map(mul, factors, row[k + 2 :]))) % p
+                row[k + 1] = (row[k + 1] + sum(map(mul, factors, row[k + 2 :]))) & mask
     # The recurrence reads only the upper Hessenberg part: reduce it once.
     for i, row in enumerate(h):
         lo = max(i - 1, 0)
-        row[lo:] = [x % p for x in row[lo:]]
+        row[lo:] = [x & mask for x in row[lo:]]
     # chars[m] is det(x*I - H_m) for the leading m x m block H_m, lowest first.
     chars = [[1]]
     for m in range(n):
@@ -247,19 +266,19 @@ def _alexander_mod(e: Sequence[Sequence[int]], p: int) -> list[int]:
             nxt[j] -= diag * c
         sub = 1
         for i in range(m - 1, -1, -1):
-            sub = sub * h[i + 1][i] % p
+            sub = sub * h[i + 1][i] & mask
             if not sub:
                 break
-            f = h[i][m] * sub % p
+            f = h[i][m] * sub & mask
             for j, c in enumerate(chars[i]):
                 nxt[j] -= f * c
-        chars.append([c % p for c in nxt])
+        chars.append([c & mask for c in nxt])
     # det(I - s*N) = sum of chars[n][n - j] * s^j.  Horner in s = 1 - t
     # gives det(I + (1 - t) * M); det(S) scales it to det(V - t*V^T).
     coeffs = [0] * (n + 1)
     for a in chars[n]:
-        coeffs = [(a + coeffs[0]) % p] + [(x - y) % p for x, y in zip(coeffs[1:], coeffs)]
-    return [c * det_s % p for c in coeffs]
+        coeffs = [(a + coeffs[0]) & mask] + [(x - y) & mask for x, y in zip(coeffs[1:], coeffs)]
+    return [c * det_s & mask for c in coeffs]
 
 
 def alexander_from_seifert(V: SeifertMatrix) -> LaurentPoly:
@@ -267,42 +286,33 @@ def alexander_from_seifert(V: SeifertMatrix) -> LaurentPoly:
 
     At genus 1, V = [[w, x], [y, z]] gives (wz - xy) * (1 + t^2) +
     (x^2 + y^2 - 2wz) * t.  Above it the coefficients come from
-    ``_alexander_mod`` modulo P, the least power of a prime q with
-    P > 2B (``_coefficient_bound``).  Unless their sum det(V - V^T) is
-    +-1, this raises ``NotUnitAtOne``.
+    ``_alexander_mod`` modulo P, the least power of two with P > 2B
+    (``_coefficient_bound``).  Unless their sum det(V - V^T) is +-1,
+    this raises ``NotUnitAtOne``.
 
-    The result is exact whether or not P is prime: each step is a ring
-    operation with a unit pivot, so the residues are those of the integer
-    coefficients, each in (-B, B) with P > 2B, so the symmetric residues
-    and their sum are exact.  If S = V - V^T is singular modulo P, P
-    divides det(S), below B in size (the bound at z = 1), so det(S) = 0.
-    A non-unit pivot, one that q divides, moves on to the next prime q.
-    The search starts at q = 2^30 - 35, where ``is_prime`` is proven and
-    cheap, so its cost does not grow with the size of the entries.  As
-    the largest prime below 2^30, q makes q^k fit in k of CPython's
-    30-bit digits, so P is rarely a digit longer than 2B.
+    The residues are those of the integer coefficients, each in (-B, B)
+    with P > 2B, so the symmetric residues and their sum are exact.  When
+    det(V - V^T) is odd no pivot fails, so the only failure is an even
+    det(V - V^T), which is not +-1; Bareiss ``det_int`` then gives its
+    value for the message.  A knot never reaches it.
     """
     e = V.entries
-    if V.size == 2:
+    n = V.size
+    if n == 2:
         (w, x), (y, z) = e
         det_v = w * z - x * y
         coeffs = (det_v, x * x + y * y - 2 * w * z, det_v)
+        d = sum(coeffs)
     else:
-        bound = 2 * _coefficient_bound(e)
-        for q in filter(is_prime, count(2**30 - 35, 2)):
-            p = q
-            while p <= bound:
-                p *= q
-            try:
-                residues = _alexander_mod(e, p)
-            except NotUnitAtOne:
-                residues = []  # det(V - V^T) = 0, the empty sum
-            except ValueError:
-                continue
-            break
-        half = p // 2
-        coeffs = [c - p if c > half else c for c in residues]
-    d = sum(coeffs)
+        p = 1 << (2 * _coefficient_bound(e)).bit_length()
+        try:
+            residues = _alexander_mod(e, p)
+        except NotUnitAtOne:
+            d = det_int([[e[i][j] - e[j][i] for j in range(n)] for i in range(n)])
+        else:
+            half = p >> 1
+            coeffs = [c - p if c > half else c for c in residues]
+            d = sum(coeffs)
     if d not in (1, -1):
         raise NotUnitAtOne(f"det(V - V^T) = {d}; the matrix is not a Seifert matrix of a knot")
     return LaurentPoly(0, coeffs).normalize()

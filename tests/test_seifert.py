@@ -1,4 +1,3 @@
-import math
 import random
 import time
 
@@ -430,67 +429,96 @@ def test_alexander_from_seifert_with_a_dense_skew_part(genus):
         x = rng.randrange(2, q)
         at_x = det_mod([[rows[i][j] - x * rows[j][i] for j in range(n)] for i in range(n)], q)
         assert at_x == sum(c * pow(x, j, q) for j, c in enumerate(exact)) % q
-    # any modulus: a non-unit pivot raises, and nothing else goes wrong
-    outcomes = set()
-    for modulus in (4, 15, 2**64, 3 * q, q * (2**89 - 1)):
-        try:
-            residues = _alexander_mod(rows, modulus)
-        except ValueError:
-            outcomes.add("raised")
-            continue
-        assert residues == [c % modulus for c in exact], modulus
-        outcomes.add("returned")
-    assert "returned" in outcomes
+    # any power of two, below 2B or not: det(V - V^T) = 1 is odd, so no pivot fails
+    for modulus in (2, 4, 2**64, 2**200):
+        assert _alexander_mod(rows, modulus) == [c % modulus for c in exact], modulus
+
+
+def ci_dense_matrix(genus, corner=1):
+    """The dense generator of the CI's genus-30 Seifert step, at any genus.
+
+    V = V0 + S, with S symmetric and entries in [-2, 2], then 3n
+    congruences V -> U V U^T by elementary U, all drawn from one 64-bit
+    LCG.  V0 has ``corner`` at (0, 1) and 1 at every other (2b, 2b + 1),
+    so det(V - V^T) = corner^2: corner 1 gives a knot, corner 2 a
+    non-knot with det(V - V^T) = 4.
+    """
+    n, x = 2 * genus, 1
+
+    def draw(k):
+        nonlocal x
+        x = (x * 6364136223846793005 + 1442695040888963407) % 2**64
+        return (x >> 33) % k
+
+    v = [[int(j == i + 1 and i % 2 == 0) for j in range(n)] for i in range(n)]
+    v[0][1] = corner
+    for i in range(n):
+        for j in range(i, n):
+            s = draw(5) - 2
+            v[i][j] += s
+            v[j][i] += s if j != i else 0
+    for _ in range(3 * n):
+        i, j, c = draw(n), draw(n - 1), 2 * draw(2) - 1
+        j += j >= i
+        elementary_congruence(v, i, j, c)
+    return v
+
+
+def test_alexander_from_seifert_dense_genus_forty_budget():
+    # The dense Gauss-Jordan path, which the benchmark's matrices never take,
+    # for a knot and for a non-knot whose det(V - V^T) = 4 is even
+    knot, non_knot = ci_dense_matrix(40), ci_dense_matrix(40, corner=2)
+    skew = [[knot[i][j] - knot[j][i] for j in range(80)] for i in range(80)]
+    assert sum(v != 0 for row in skew for v in row) > 80 * 80 // 2
+    start = time.perf_counter()
+    poly = alexander_from_seifert(SeifertMatrix.from_rows(knot))
+    elapsed = time.perf_counter() - start
+    assert elapsed < 4.0, f"dense genus 40 took {elapsed:.2f}s, budget 4s"
+    assert poly.lowest == 0 and poly.is_symmetric() and poly.eval_at(1) == 1
+    q = 2**61 - 1
+    x = random.Random(80).randrange(2, q)
+    at_x = det_mod([[knot[i][j] - x * knot[j][i] for j in range(80)] for i in range(80)], q)
+    k = (80 - poly.degree_span()) // 2
+    assert at_x == sum(c * pow(x, k + i, q) for i, c in enumerate(poly.coeffs)) % q
+    start = time.perf_counter()
+    with pytest.raises(NotUnitAtOne) as info:
+        alexander_from_seifert(SeifertMatrix.from_rows(non_knot))
+    elapsed = time.perf_counter() - start
+    assert elapsed < 4.0, f"dense genus-40 non-knot took {elapsed:.2f}s, budget 4s"
+    assert str(info.value) == not_a_knot(4)
 
 
 def test_alexander_mod_any_modulus_raises_or_is_right():
-    # Composite moduli, and primes below 2B: the residues need no prime
-    # and no bound; only a non-unit pivot stops the routine.
+    # Any power of two, below 2B or not: the residues need no bound.  An
+    # odd det(V - V^T), +-1 or not, never stops the routine; an even one
+    # always does.
     rng = random.Random(11)
     matrices = [random_knot_matrix(rng, genus) for genus in (2, 3) for _ in range(4)]
-    moduli = [4, 9, 15, 27, 35, 97, 2**64, 3 * (2**61 - 1), (2**61 - 1) * (2**89 - 1)]
-    outcomes = set()
+    matrices += [[[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)] for n in (4, 6) for _ in range(12)]
+    moduli = [2, 4, 8, 2**20, 2**64, 2**200]
+    dets = set()
     for rows in matrices:
         expected = cofactor_seifert_det(rows)
+        d = skew_det(rows)
+        dets.add(d)
         for modulus in moduli:
-            try:
-                residues = _alexander_mod(rows, modulus)
-            except ValueError:
-                outcomes.add("raised")
-                continue
-            assert residues == [c % modulus for c in expected], modulus
-            outcomes.add("returned")
-    assert outcomes == {"raised", "returned"}
+            if d % 2:
+                assert _alexander_mod(rows, modulus) == [c % modulus for c in expected], modulus
+            else:
+                with pytest.raises(NotUnitAtOne):
+                    _alexander_mod(rows, modulus)
+    assert 1 in dets and any(d % 2 and d != 1 for d in dets) and any(d % 2 == 0 for d in dets)
 
 
 def test_alexander_mod_raises_when_skew_part_is_singular_mod_p():
-    # det(V - V^T) = 4 is not a unit modulo 2
+    # det(V - V^T) = 4 is even: some Gauss-Jordan column has no odd pivot
     rows = [[0, 2, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]]
-    with pytest.raises(ValueError):
-        _alexander_mod(rows, 2)
+    for modulus in (2, 2**64):
+        with pytest.raises(NotUnitAtOne):
+            _alexander_mod(rows, modulus)
 
 
-def test_alexander_from_seifert_moves_on_after_a_non_unit_pivot(monkeypatch):
-    rows = random_knot_matrix(random.Random(3), 3)
-    expected = alexander_from_seifert(SeifertMatrix.from_rows(rows))
-    moduli = []
-    real = seifert._alexander_mod
-
-    def fail_first(e, p):
-        moduli.append(p)
-        if len(moduli) == 1:
-            raise ValueError("base is not invertible for the given modulus")
-        return real(e, p)
-
-    monkeypatch.setattr(seifert, "_alexander_mod", fail_first)
-    assert alexander_from_seifert(SeifertMatrix.from_rows(rows)) == expected
-    assert len(moduli) == 2 and moduli[1] > moduli[0] > 2 * _coefficient_bound(rows)
-    # the largest prime below 2^30, then the next prime, each to its least power above 2B
-    assert moduli == [2**30 - 35, 2**30 + 3]
-
-
-def test_alexander_from_seifert_modulus_is_the_least_prime_power_above_2b(monkeypatch):
-    q = 2**30 - 35
+def test_alexander_from_seifert_modulus_is_the_least_power_of_two_above_2b(monkeypatch):
     moduli = []
     real = seifert._alexander_mod
 
@@ -503,37 +531,44 @@ def test_alexander_from_seifert_modulus_is_the_least_prime_power_above_2b(monkey
         rows = random_knot_matrix(random.Random(entry), 2, entry=entry)
         alexander_from_seifert(SeifertMatrix.from_rows(rows))
         bound = 2 * _coefficient_bound(rows)
-        assert moduli[-1] > bound and (moduli[-1] == q or moduli[-1] // q <= bound)
-        assert q ** round(math.log(moduli[-1], q)) == moduli[-1]
-        # no more 30-bit digits than 2B needs
-        assert -(-moduli[-1].bit_length() // 30) == -(-bound.bit_length() // 30)
+        p = moduli[-1]
+        assert p & (p - 1) == 0 and p // 2 <= bound < p
+    assert len(moduli) == 3  # one modulus per call
 
 
-def test_alexander_from_seifert_exact_with_composite_candidates(monkeypatch):
-    # With every odd number from 2^30 - 31 = 3 * 357913931 on taken for a
-    # prime, the search starts at a composite q; a power of it either works
-    # or meets a pivot that 3 divides, which moves the search on.
-    rng = random.Random(8)
-    matrices = [random_knot_matrix(rng, genus) for genus in (2, 3, 4) for _ in range(5)]
-    expected = [alexander_from_seifert(SeifertMatrix.from_rows(rows)) for rows in matrices]
-    first = 2**30 - 31
-    moduli = []
-    real = seifert._alexander_mod
+def test_alexander_from_seifert_takes_even_hessenberg_pivots(monkeypatch):
+    # V = V0 + 2^j * X, X symmetric, keeps S = V - V^T the standard
+    # symplectic form, and N = -S^-1 * V^T is diagonal modulo 2^j: the
+    # Hessenberg reduction meets columns with no odd entry.  Congruences
+    # with even multipliers mix in further powers of two.
+    lows = []
+    real = seifert._pivot
 
-    def record(e, p):
-        moduli.append(p)
-        return real(e, p)
+    def record(rows, col, start, mask):
+        r, pivot = real(rows, col, start, mask)
+        if start == col + 1:  # a Hessenberg column, not a Gauss-Jordan one
+            lows.append(pivot & -pivot)
+        return r, pivot
 
-    monkeypatch.setattr(seifert, "is_prime", lambda x: x >= first)
-    monkeypatch.setattr(seifert, "_alexander_mod", record)
-    assert [alexander_from_seifert(SeifertMatrix.from_rows(rows)) for rows in matrices] == expected
-    assert sum(p % first == 0 for p in moduli) == len(matrices)
-    assert 0 < sum(p % (first + 2) == 0 for p in moduli) < len(matrices)
+    monkeypatch.setattr(seifert, "_pivot", record)
+    rng = random.Random(2)
+    for _ in range(40):
+        genus = rng.randint(2, 3)
+        size = 2 * genus
+        j = rng.randint(1, 8)
+        upper = [rng.randint(-3, 3) << j for _ in range(size * (size + 1) // 2)]
+        rows = symplectic_plus_symmetric(genus, upper)
+        for _ in range(rng.randint(0, 3)):
+            a, b = rng.sample(range(size), 2)
+            elementary_congruence(rows, a, b, rng.choice((-2, -1, 1, 2)))
+        poly = alexander_from_seifert(SeifertMatrix.from_rows(rows))
+        assert list(poly.coeffs) == normalized(cofactor_seifert_det(rows))
+    assert sum(low > 1 for low in lows) >= 10
 
 
 def test_alexander_from_seifert_with_200_digit_entries():
     # A modulus search that tests ~2,000-bit candidates near 2B for
-    # primality takes most of a minute; a power of 2^30 - 35 needs no such test.
+    # primality takes most of a minute; a power of two needs no such test.
     rows = random_knot_matrix(random.Random(200), 2, entry=10**200)
     assert max(len(str(abs(v))) for row in rows for v in row) == 200
     start = time.perf_counter()
@@ -590,23 +625,44 @@ def block_sum(*blocks):
 
 
 def test_alexander_from_seifert_needs_no_bareiss_determinant(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("alexander_from_seifert ran a Bareiss elimination")
+    # A knot, or an odd det(V - V^T), reads det(V - V^T) off the exact
+    # coefficients.  Only an even one stops Gauss-Jordan before any
+    # coefficient, and takes the value for its message from det_int.
+    calls = []
+    real_det, real_eliminate = seifert.det_int, seifert._eliminate
 
-    monkeypatch.setattr(seifert, "det_int", refuse)
-    monkeypatch.setattr(seifert, "_eliminate", refuse)
+    def det_int(rows):
+        calls.append(("det_int", [list(row) for row in rows]))
+        return real_det(rows)
+
+    def eliminate(rows):
+        calls.append(("_eliminate", None))
+        return real_eliminate(rows)
+
+    monkeypatch.setattr(seifert, "det_int", det_int)
+    monkeypatch.setattr(seifert, "_eliminate", eliminate)
     knots = [[[1, 1], [0, 1]], random_knot_matrix(random.Random(2), 3)]
     non_knots = [
         [[1, 0], [0, 1]],
         [[0, 3], [1, 0]],
         block_sum([[1, 2], [2, 1]], [[3, 1], [1, 3]], [[0, 0], [0, 0]]),
         block_sum([[0, 2], [0, 0]], [[1, 1], [0, 1]], [[0, 0], [3, 0]]),
+        block_sum([[0, 3], [0, 0]], [[1, 1], [0, 1]], [[2, 1], [-2, 0]]),
     ]
     for rows in knots:
         poly = alexander_from_seifert(SeifertMatrix.from_rows(rows))
         assert list(poly.coeffs) == normalized(cofactor_seifert_det(rows))
+    assert calls == []
     for rows in non_knots:
+        calls.clear()
         with pytest.raises(NotUnitAtOne) as info:
             alexander_from_seifert(SeifertMatrix.from_rows(rows))
-        assert str(info.value) == not_a_knot(skew_det(rows))
-    assert [skew_det(rows) for rows in non_knots] == [0, 4, 0, 36]
+        d = skew_det(rows)
+        assert str(info.value) == not_a_knot(d)
+        n = len(rows)
+        if n > 2 and d % 2 == 0:
+            skew = [[rows[i][j] - rows[j][i] for j in range(n)] for i in range(n)]
+            assert calls == [("det_int", skew), ("_eliminate", None)]
+        else:
+            assert calls == []
+    assert [skew_det(rows) for rows in non_knots] == [0, 4, 0, 36, 81]
