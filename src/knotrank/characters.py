@@ -9,6 +9,7 @@ those characters triangular with nonzero diagonal, hence of full rank.
 
 from __future__ import annotations
 
+from itertools import compress
 from math import isqrt
 from typing import Iterator, Optional
 
@@ -103,8 +104,11 @@ class IndependenceCertificate(Frozen):
     """Witnesses, their strictly increasing max primes, and the evaluation matrix.
 
     ``evaluation[i][j]`` is the exponent of ``selected_primes[i]`` in the
-    rank of ``witnesses[j]``.  Nothing is validated at construction;
-    ``verify_certificate`` is the trust boundary.
+    rank of ``witnesses[j]``.  Any tuple of tuples may be passed;
+    ``build_certificate`` passes a read-only view over the matrix's
+    nonzero cells, which compares, hashes and prints as that tuple of
+    tuples.  Nothing is validated at construction; ``verify_certificate``
+    is the trust boundary.
     """
 
     __slots__ = ("witnesses", "selected_primes", "evaluation")
@@ -143,11 +147,7 @@ class IndependenceCertificate(Frozen):
 
     def to_csv(self) -> str:
         """Evaluation matrix as CSV: rows are primes, columns are witnesses."""
-        header = ["prime"] + [f"witness_{cw.witness.index}" for cw in self.witnesses]
-        lines = [",".join(header)]
-        for p, text in zip(self.selected_primes, _joined_rows(self.evaluation, ",")):
-            lines.append(f"{p},{text}" if text else str(p))
-        return "\n".join(lines) + "\n"
+        return "".join(_csv_lines(self))
 
 
 class VerificationResult(Frozen):
@@ -183,48 +183,113 @@ def _prime_cells(witnesses, primes) -> list[list[tuple[int, int]]]:
     return cells
 
 
-def _evaluation_matrix(witnesses, primes) -> tuple[tuple[int, ...], ...]:
-    """Row i holds the exponent of ``primes[i]`` in the rank of each witness."""
-    rows = []
-    for nonzero in _prime_cells(witnesses, primes):
-        row = [0] * len(witnesses)
-        for j, e in nonzero:
-            row[j] = e
-        rows.append(tuple(row))
-    return tuple(rows)
+def _csv_lines(cert: IndependenceCertificate) -> Iterator[str]:
+    """The lines of ``cert.to_csv()``, each ending in a newline, one row at a time."""
+    header = ["prime"] + [f"witness_{cw.witness.index}" for cw in cert.witnesses]
+    yield ",".join(header) + "\n"
+    for p, text in zip(cert.selected_primes, _joined_rows(cert.evaluation, ",", str)):
+        yield f"{p},{text}\n" if text else f"{p}\n"
 
 
-# bytes 0..9 to their ASCII digits, every other byte to a marker (see _joined_rows)
-_DIGITS = bytes.maketrans(bytes(range(256)), b"0123456789" + b"x" * 246)
+class _EvaluationView(Frozen):
+    """A read-only k x k evaluation matrix, stored as its nonzero cells.
+
+    ``cells[i]`` holds the cells ``(j, e)`` of row i, j ascending and
+    below k = ``len(cells)``; every other entry is the int 0.  The view
+    stands for the tuple of k row tuples: it indexes, iterates, compares
+    equal, hashes and prints as that tuple does, and builds a dense row
+    only when one is asked for.  It pickles as its cells.
+    """
+
+    __slots__ = ("cells",)
+    cells: list[list[tuple[int, int]]]
+
+    def __init__(self, cells: list[list[tuple[int, int]]]) -> None:
+        object.__setattr__(self, "cells", cells)
+
+    def __len__(self) -> int:
+        return len(self.cells)
+
+    def __getitem__(self, index):
+        k = len(self.cells)
+        if isinstance(index, slice):
+            return tuple(_dense_row(k, cells) for cells in self.cells[index])
+        return _dense_row(k, self.cells[index])
+
+    def __iter__(self) -> Iterator[tuple]:
+        k = len(self.cells)
+        return (_dense_row(k, cells) for cells in self.cells)
+
+    def __eq__(self, other):
+        if not isinstance(other, (tuple, _EvaluationView)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
 
 
-def _joined_rows(rows, sep: str) -> Iterator[str]:
-    """Yield ``sep.join(map(str, row))`` for each row of integers; ``sep`` is ASCII.
+def _dense_row(k: int, cells) -> tuple:
+    """The row of k entries that holds ``cells`` and the int 0 everywhere else."""
+    row = [0] * k
+    for j, v in cells:
+        row[j] = v
+    return tuple(row)
 
-    The text of an evaluation matrix, as CSV and in the JSON envelope.
-    Nearly every entry of such a matrix lies in 0..9, and a row of
-    single digits is written with no Python step per entry: its
-    ``bytes`` are translated to ASCII digits and put, with one strided
-    slice assignment, into a buffer of digits and separators, made once
-    per row length.  Any other byte becomes the marker ``x``, and
-    ``bytes`` refuses an entry outside 0..255 or one that is not an
-    integer, such as a float; either row is joined entry by entry.
+
+def _dense_cells(row) -> list[tuple[int, object]]:
+    """The cells ``(j, v)`` of a dense row: each entry but the int 0, j ascending.
+
+    In a row of ints these are its truthy entries, found by C-level
+    scans, a ``set`` of the entries' types and a ``compress``.  Any
+    other row is read entry by entry: there a ``False``, ``0.0`` or
+    ``None`` is a cell too, and only the checks on its value decide.
+    """
+    if set(map(type, row)) <= {int}:
+        return [(j, row[j]) for j in compress(range(len(row)), row)]
+    return [(j, v) for j, v in enumerate(row) if type(v) is not int or v]
+
+
+def _row_cells(matrix) -> Iterator[tuple[int, list]]:
+    """Yield ``(width, cells)`` for each row of an evaluation matrix.
+
+    The cells of a row are its entries other than the int 0, as pairs
+    ``(j, v)``, j ascending: a view's are read as they are, a dense
+    row's come from ``_dense_cells``.
+    """
+    if type(matrix) is _EvaluationView:
+        k = len(matrix.cells)
+        return ((k, cells) for cells in matrix.cells)
+    return ((len(row), _dense_cells(row)) for row in matrix)
+
+
+def _joined_rows(matrix, sep: str, fmt) -> Iterator[str]:
+    """Yield ``sep.join(map(fmt, row))`` for each row of ``matrix``; ``sep`` is ASCII.
+
+    The text of an evaluation matrix: ``fmt`` is ``str`` for CSV and the
+    JSON encoder for the envelope, and both write an int in 0..9 as its
+    digit.  A row whose every cell (``_row_cells``) is such an int is
+    written from its cells into a copy of a template of zeros and
+    separators, made once per row length: one Python step per cell,
+    none per zero.  Any other row goes through ``fmt`` entry by entry.
     """
     step = len(sep) + 1
     width = None
-    for row in rows:
-        try:
-            digits = bytes(row).translate(_DIGITS)
-        except (TypeError, ValueError):
-            digits = b"x"
-        if b"x" in digits:
-            yield sep.join(map(str, row))
-            continue
-        if len(row) != width:
-            width = len(row)
-            text = bytearray(sep.join("0" * width).encode())
-        text[::step] = digits  # every digit is overwritten; the separators stay
-        yield text.decode()
+    for k, cells in _row_cells(matrix):
+        if k != width:
+            width = k
+            zeros = sep.join("0" * k).encode()
+        text = bytearray(zeros)
+        for j, v in cells:
+            if type(v) is not int or not 0 <= v <= 9:
+                yield sep.join(map(fmt, _dense_row(k, cells)))
+                break
+            text[j * step] = 48 + v  # the ASCII digit of v
+        else:
+            yield text.decode()
 
 
 # Blocks of witness indices start this long and double up to the maximum,
@@ -355,7 +420,8 @@ def build_certificate(count: int, search_limit: int) -> IndependenceCertificate:
             f"found only {len(kept)} of {count} witnesses with indices <= {search_limit}"
         )
     primes = tuple(cw.max_prime for cw in kept)
-    return IndependenceCertificate(tuple(kept), primes, _evaluation_matrix(kept, primes))
+    cells = _EvaluationView(_prime_cells(kept, primes))
+    return IndependenceCertificate(tuple(kept), primes, cells)
 
 
 def verify_certificate(cert: IndependenceCertificate) -> VerificationResult:
@@ -369,12 +435,14 @@ def verify_certificate(cert: IndependenceCertificate) -> VerificationResult:
     which is not 0, so the shape alone proves full rank over the
     rationals and no rank computation is needed.
 
-    The cost is linear in the input.  Each matrix row costs two C-level
-    scans, a ``count`` of zeros in its lower triangle and in the whole
-    row, plus one Python step per factor of a selected prime: the
-    expected row is never built, only its nonzero cells.  Each distinct
-    prime, selected or factor, gets one Miller-Rabin test; a factor
-    already proven in this call is not tested again.
+    The cost is linear in the input.  Each matrix row is read as its
+    cells (``_row_cells``): a built certificate's are stored, a dense
+    row's are found by C-level scans.  The shape takes one Python step
+    per cell up to the diagonal, and the entries one comparison of the
+    row's cells with the cells the factorizations give, plus one step
+    per factor of a selected prime: no dense row is built.  Each
+    distinct prime, selected or factor, gets one Miller-Rabin test; a
+    factor already proven in this call is not tested again.
     """
 
     def fail(reason: str) -> VerificationResult:
@@ -382,21 +450,29 @@ def verify_certificate(cert: IndependenceCertificate) -> VerificationResult:
 
     ws = cert.witnesses
     primes = cert.selected_primes
-    matrix = cert.evaluation
     k = len(ws)
     if k == 0:
         return fail("certificate is empty")
-    if len(primes) != k or len(matrix) != k or any(len(row) != k for row in matrix):
+    rows = list(_row_cells(cert.evaluation))
+    if len(primes) != k or len(rows) != k or any(width != k for width, _ in rows):
         return fail("witness, prime, and matrix dimensions disagree")
     for i in range(1, k):
         if primes[i] <= primes[i - 1]:
             return fail(f"selected primes are not strictly increasing at position {i}")
-    for i, row in enumerate(matrix):
-        # count compares with ==, so this refuses exactly the entries with != 0
-        if row[:i].count(0) != i:
-            j = next(j for j in range(i) if row[j] != 0)
-            return fail(f"triangularity violated at evaluation[{i}][{j}]")
-        if row[i] < 1:
+    for i, (_, cells) in enumerate(rows):
+        diagonal = 0
+        for j, v in cells:
+            if j >= i:
+                if j == i:
+                    diagonal = v
+                break
+            if v != 0:
+                return fail(f"triangularity violated at evaluation[{i}][{j}]")
+        try:
+            small = diagonal < 1
+        except TypeError:  # None, a string, a list: not a number at all
+            small = True
+        if small:
             return fail(f"diagonal entry evaluation[{i}][{i}] is not positive")
     bound = numtheory.PRIMALITY_BOUND
     proven: set[int] = set()
@@ -434,11 +510,12 @@ def verify_certificate(cert: IndependenceCertificate) -> VerificationResult:
     # The checks above make the selected primes, and each witness's factors,
     # distinct, and every exponent at least 1, so row i must hold the cells
     # of primes[i] and a zero everywhere else.
-    for i, (row, nonzero) in enumerate(zip(matrix, _prime_cells(ws, primes))):
-        if row.count(0) != k - len(nonzero) or any(row[j] != e for j, e in nonzero):
-            expected = dict(nonzero)
-            j = next(j for j in range(k) if row[j] != expected.get(j, 0))
-            return fail(f"evaluation[{i}][{j}] does not match the factorizations")
+    for i, ((_, cells), expected) in enumerate(zip(rows, _prime_cells(ws, primes))):
+        if cells != expected:
+            got, want = dict(cells), dict(expected)
+            wrong = [j for j in got.keys() | want.keys() if got.get(j, 0) != want.get(j, 0)]
+            if wrong:
+                return fail(f"evaluation[{i}][{min(wrong)}] does not match the factorizations")
     return VerificationResult(True)
 
 

@@ -11,7 +11,8 @@ import errno
 import math
 import os
 import sys
-from typing import Optional, Sequence
+from itertools import chain
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import characters, numtheory, pretzel, seifert
 from .characters import SearchExhausted
@@ -22,15 +23,17 @@ from .seifert import SeifertMatrix
 SCHEMA_VERSION = "1"
 
 
-def _write(text: str) -> None:
-    """Write ``text`` to standard output and flush: its one writer.
+def _write(pieces: Iterable[str]) -> None:
+    """Write ``pieces`` to standard output, then flush once: its one writer.
 
-    A standard output closed at start-up is ``None``, where ``print``
-    writes nothing; here it fails as a write to a closed descriptor does.
+    The pieces are taken one at a time, so a generator of rows is never
+    held whole.  A standard output closed at start-up is ``None``, where
+    ``print`` writes nothing; here it fails as a write to a closed
+    descriptor does.
     """
     if sys.stdout is None:
         raise OSError(errno.EBADF, os.strerror(errno.EBADF))
-    sys.stdout.write(text)
+    sys.stdout.writelines(pieces)
     sys.stdout.flush()
 
 
@@ -47,9 +50,9 @@ def _emit(args, result: dict, text: str) -> None:
             "command": args.command,
             "result": result,
         }
-        _write(json.dumps(envelope, sort_keys=True, indent=2) + "\n")
+        _write([json.dumps(envelope, sort_keys=True, indent=2) + "\n"])
     else:
-        _write(text)
+        _write([text])
 
 
 # The certificate envelope, laid out as json.dumps(..., sort_keys=True,
@@ -94,26 +97,36 @@ def _json_list(joined: str, pad: str) -> str:
     return f"[{pad}  {joined}{pad}]" if joined else "[]"
 
 
-def _certificate_json(cert: characters.IndependenceCertificate, verified: bool) -> str:
-    """The ``certificate --json`` envelope of ``cert``, ending in a newline.
+def _json_entry(value) -> str:
+    """A matrix entry as ``json.dumps`` lays it out in the certificate envelope.
+
+    Only an entry that is not an int in 0..9 comes here.
+    """
+    import json  # here, not with the module: a built certificate never needs it
+
+    return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n        ")
+
+
+def _certificate_json(cert: characters.IndependenceCertificate, verified: bool) -> Iterator[str]:
+    """The ``certificate --json`` envelope of ``cert``, in pieces, ending in a newline.
 
     Its reference is what ``_emit`` writes: ``json.dumps(envelope,
     sort_keys=True, indent=2)`` and a newline, for the envelope that
-    ``cert.to_json()`` plus ``verified`` make.  It matches that byte for
-    byte and reads every value from the attribute or function that
-    ``to_json`` reads; only the layout is written here, once, in the
-    templates above.  A witness is one ``%`` template, and the matrix
-    rows come from the row writer of ``to_csv``, so no Python step is
-    taken per matrix entry, no dictionary of the envelope is built, and
-    ``json`` is not imported.
+    ``cert.to_json()`` plus ``verified`` make.  The joined pieces match
+    that byte for byte, and every value is read from the attribute or
+    function that ``to_json`` reads; only the layout is written here,
+    once, in the templates above.  Each matrix row is one piece, from
+    the row writer of ``to_csv``, so no Python step is taken per zero,
+    the matrix is never held whole, no dictionary of the envelope is
+    built, and ``json`` is imported only for an entry that is not an
+    int in 0..9, which a built certificate does not have.
     """
-    # the rows go into the one final join uncopied: they are most of the text
-    pieces = [_CERTIFICATE_HEAD]
+    yield _CERTIFICATE_HEAD
     lead = "[\n      "
-    for text in characters._joined_rows(cert.evaluation, ",\n        "):
-        pieces += (lead, "[\n        ", text, "\n      ]") if text else (lead, "[]")
+    for text in characters._joined_rows(cert.evaluation, ",\n        ", _json_entry):
+        yield f"{lead}[\n        {text}\n      ]" if text else f"{lead}[]"
         lead = ",\n      "
-    pieces.append("\n    ]" if cert.evaluation else "[]")
+    yield "\n    ]" if cert.evaluation else "[]"
     witnesses = []
     for cw in cert.witnesses:
         w = cw.witness
@@ -131,16 +144,12 @@ def _certificate_json(cert: characters.IndependenceCertificate, verified: bool) 
                 pretzel.hfk_top_rank(w),
             )
         )
-    pieces.append(
-        _CERTIFICATE_TAIL
-        % (
-            _json_list(",\n      ".join(map(str, cert.selected_primes)), "\n    "),
-            "true" if verified else "false",
-            _json_list(",\n      ".join(witnesses), "\n    "),
-            SCHEMA_VERSION,
-        )
+    yield _CERTIFICATE_TAIL % (
+        _json_list(",\n      ".join(map(str, cert.selected_primes)), "\n    "),
+        "true" if verified else "false",
+        _json_list(",\n      ".join(witnesses), "\n    "),
+        SCHEMA_VERSION,
     )
-    return "".join(pieces)
 
 
 def _parse_pretzel(text: str) -> PretzelKnot:
@@ -241,17 +250,17 @@ def cmd_certificate(args) -> int:
         raise ValueError(f"--search-limit must be >= 1, got {args.search_limit}")
     cert = characters.build_certificate(args.count, args.search_limit)
     check = characters.verify_certificate(cert)
-    csv = cert.to_csv() if args.csv or not args.json else ""
     if args.csv:
         try:
             with open(args.csv, "w", encoding="utf-8") as fh:
-                fh.write(csv)
+                fh.writelines(characters._csv_lines(cert))
         except OSError as exc:
             raise ValueError(f"cannot write {args.csv}: {exc}") from None
     if args.json:
         _write(_certificate_json(cert, bool(check)))
     else:
-        _write(csv + f"verified: {'true' if check else 'false'}\n")
+        verdict = f"verified: {'true' if check else 'false'}\n"
+        _write(chain(characters._csv_lines(cert), [verdict]))
     if not check:
         return _report(check.reason, 1)
     return 0
@@ -413,7 +422,7 @@ class _ArgumentParser(argparse.ArgumentParser):
     """
 
     def print_help(self, file=None):
-        _write(self.format_help())
+        _write([self.format_help()])
 
     def _print_message(self, message, file=None):
         _warn(message)

@@ -645,6 +645,87 @@ def test_verify_compares_entries_by_equality_not_truth(i, j, entry, reason):
     assert result == VerificationResult(reason is None, reason)
 
 
+@pytest.mark.parametrize("entry", [None, "1", [1]], ids=["None", "str", "list"])
+def test_verify_refuses_a_non_numeric_diagonal_entry_without_raising(entry):
+    cert = build_certificate(2, 10)
+    tampered = IndependenceCertificate(cert.witnesses, (5, 13), ((entry, 0), (0, 1)))
+    assert verify_certificate(tampered) == VerificationResult(
+        False, "diagonal entry evaluation[0][0] is not positive"
+    )
+
+
+@pytest.mark.parametrize("i, j", [(5, 2), (5, 5), (5, 7)], ids=["below", "diagonal", "above"])
+def test_verify_refuses_none_where_a_zero_or_an_exponent_belongs(i, j):
+    # None is falsy but not 0: it is no zero, whatever its truth
+    matrix = [list(row) for row in TWELVE.evaluation]
+    matrix[i][j] = None
+    reason = {
+        (5, 2): "triangularity violated at evaluation[5][2]",
+        (5, 5): "diagonal entry evaluation[5][5] is not positive",
+        (5, 7): "evaluation[5][7] does not match the factorizations",
+    }[i, j]
+    result = verify_certificate(tampered_twelve(TWELVE.selected_primes, matrix))
+    assert result == VerificationResult(False, reason)
+
+
+def test_built_certificate_stores_the_cells_of_its_matrix():
+    cells = TWELVE.evaluation.cells
+    assert type(TWELVE.evaluation) is characters._EvaluationView
+    assert cells == characters._prime_cells(TWELVE.witnesses, TWELVE.selected_primes)
+    assert TWELVE.evaluation == tuple(
+        tuple(dict(cw.factorization).get(p, 0) for cw in TWELVE.witnesses)
+        for p in TWELVE.selected_primes
+    )
+
+
+def view_of(cert):
+    """``cert`` with its matrix as the view over its cells that a built record holds."""
+    cells = characters._prime_cells(cert.witnesses, cert.selected_primes)
+    return IndependenceCertificate(
+        cert.witnesses, cert.selected_primes, characters._EvaluationView(cells)
+    )
+
+
+@TAMPER
+@given(st.sampled_from(["greedy", "dense"]), st.data())
+def test_verify_gives_a_tampered_view_the_reason_of_the_same_tampered_tuple(which, data):
+    # the same change, made once to a built record's cells and once to the
+    # dense matrix it stands for, is refused for the same reason
+    cert = TWELVE if which == "greedy" else view_of(DENSE)
+    k = len(cert.selected_primes)
+    cells = [list(row) for row in cert.evaluation.cells]
+    matrix = [list(row) for row in cert.evaluation]
+    i = data.draw(st.integers(0, k - 1), label="row")
+    kind = data.draw(
+        st.sampled_from(["zero diagonal", "below", "above", "exponent"]), label="tamper"
+    )
+    if kind == "zero diagonal":
+        cells[i] = [(j, e) for j, e in cells[i] if j != i]
+        matrix[i][i] = 0
+    elif kind == "exponent":
+        j, e = data.draw(st.sampled_from(cells[i]), label="cell")
+        new = data.draw(st.integers(-50, 50).filter(lambda v: v != e), label="exponent")
+        cells[i] = sorted([(c, v) for c, v in cells[i] if c != j] + [(j, new)])
+        matrix[i][j] = new
+    else:
+        span = range(i) if kind == "below" else range(i + 1, k)
+        columns = [j for j in span if not matrix[i][j]]
+        if not columns:
+            return
+        j = data.draw(st.sampled_from(columns), label="column")
+        v = data.draw(st.integers(1, 50), label="entry")
+        cells[i] = sorted(cells[i] + [(j, v)])
+        matrix[i][j] = v
+    view = characters._EvaluationView(cells)
+    dense = tuple(map(tuple, matrix))
+    assert view == dense
+    ws, primes = cert.witnesses, cert.selected_primes
+    by_cells = verify_certificate(IndependenceCertificate(ws, primes, view))
+    by_rows = verify_certificate(IndependenceCertificate(ws, primes, dense))
+    assert not by_rows
+    assert by_cells == by_rows
+
+
 @pytest.mark.parametrize(
     "make_cert",
     [

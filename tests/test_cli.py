@@ -475,7 +475,7 @@ def test_certificate_writer_matches_json_dumps(count, limit, verified):
         cert = characters.build_certificate(count, limit)
     except characters.SearchExhausted:
         return
-    assert cli._certificate_json(cert, verified) == certificate_envelope(cert, verified)
+    assert "".join(cli._certificate_json(cert, verified)) == certificate_envelope(cert, verified)
 
 
 def hand_built_certificates():
@@ -491,6 +491,12 @@ def hand_built_certificates():
         "entries outside 0..9": (build(real.witnesses, (5, 13), ((1, 10), (-1, 256))), False),
         # bytes() refuses a float with a TypeError, not a ValueError
         "float entry": (build(real.witnesses, (5, 13), ((1, 0.5), (0, 1))), False),
+        # str and json.dumps write True, False and NaN differently, and neither as a digit
+        "bool, float and NaN entries": (
+            build(real.witnesses, (5, 13), ((True, 0.5), (float("nan"), 1))),
+            False,
+        ),
+        "bool entries in int rows": (build(real.witnesses, (5, 13), ((True, 0), (False, 1))), False),
         "stabilized witness": (build((stabilized,), (5,), ((2,),)), True),
         "empty factorization": (
             build((rank_one, *real.witnesses), (1, 5, 13), ((0, 0, 0),) * 3),
@@ -504,7 +510,7 @@ def hand_built_certificates():
 @pytest.mark.parametrize("name", sorted(hand_built_certificates()))
 def test_certificate_writer_matches_json_dumps_on_hand_built_records(name):
     cert, verified = hand_built_certificates()[name]
-    assert cli._certificate_json(cert, verified) == certificate_envelope(cert, verified)
+    assert "".join(cli._certificate_json(cert, verified)) == certificate_envelope(cert, verified)
 
 
 @pytest.mark.parametrize("name", sorted(hand_built_certificates()))
@@ -514,6 +520,20 @@ def test_certificate_csv_matches_str_join_on_hand_built_records(name):
     rows = [[p, *row] for p, row in zip(cert.selected_primes, cert.evaluation)]
     lines = [",".join(header)] + [",".join(map(str, row)) for row in rows]
     assert cert.to_csv() == "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
+def test_certificate_command_builds_no_dense_row(capsys, monkeypatch, tmp_path, mode):
+    # a built record's matrix is verified and written from its cells alone
+    argv = ["certificate", "--count", "40", "--csv", str(tmp_path / "m.csv"), *mode]
+    expected = run_cli(capsys, *argv)
+
+    def refuse(*args):
+        raise AssertionError("a dense row was built")
+
+    monkeypatch.setattr(characters, "_dense_row", refuse)
+    assert run_cli(capsys, *argv) == expected
+    assert expected[0] == 0
 
 
 def test_certificate_json_calls_no_generic_encoder(capsys, monkeypatch):

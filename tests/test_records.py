@@ -23,9 +23,11 @@ from knotrank import (
     SeifertMatrix,
     VerificationResult,
     WitnessKnot,
+    build_certificate,
     certify,
     witness,
 )
+from knotrank import characters
 from knotrank.numtheory import PrimePower
 
 CW = certify(witness(2))
@@ -106,6 +108,50 @@ def test_pickle_and_copy_round_trip(record, fields, text):
     for clone in (copy.copy(record), copy.deepcopy(record)):
         assert type(clone) is type(record) and clone == record
         assert hash(clone) == hash(record)
+
+
+def cell_backed_certificates():
+    # rank 25 = 5^2 and rank 85 = 5 * 17: an exponent of two and an entry above the diagonal
+    ws = (certify(witness(4)), certify(witness(7)))
+    cells = characters._prime_cells(ws, (5, 17))
+    return {
+        "built": build_certificate(6, 100),
+        "entry above the diagonal": IndependenceCertificate(
+            ws, (5, 17), characters._EvaluationView(cells)
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(cell_backed_certificates()))
+def test_a_cell_backed_certificate_is_the_record_of_its_dense_matrix(name):
+    cert = cell_backed_certificates()[name]
+    view = cert.evaluation
+    matrix = tuple(tuple(row) for row in view)
+    dense = IndependenceCertificate(cert.witnesses, cert.selected_primes, matrix)
+    assert type(view) is characters._EvaluationView and type(matrix) is tuple
+    assert view == matrix and matrix == view and not view != matrix and not matrix != view
+    assert cert == dense and dense == cert and not cert != dense
+    assert hash(view) == hash(matrix) and hash(cert) == hash(dense)
+    assert len({cert, dense}) == 1
+    assert repr(view) == repr(matrix) and repr(cert) == repr(dense)
+    assert cert.to_json() == dense.to_json()
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(cert, protocol))
+        assert back == dense and hash(back) == hash(dense)
+    for clone in (copy.copy(cert), copy.deepcopy(cert)):
+        assert clone == dense and hash(clone) == hash(dense)
+    # it indexes and iterates as the tuple does
+    assert len(view) == len(matrix) and list(view) == list(matrix)
+    for index in (0, 1, -1, slice(1, None), slice(None, None, -1)):
+        assert view[index] == matrix[index]
+    with pytest.raises(IndexError):
+        view[len(matrix)]
+    # and it is no more equal than the tuple is
+    assert view != [list(row) for row in matrix] and view != matrix[:-1]
+    changed = ((matrix[0][0] + 1, *matrix[0][1:]), *matrix[1:])
+    assert view != changed and changed != view
+    with pytest.raises(AttributeError):
+        view.cells = ()
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
