@@ -285,12 +285,22 @@ def cmd_rank(args) -> int:
             f"coefficients of more than {limit} digits, the limit for integer "
             "string conversion (PYTHONINTMAXSTRDIGITS raises it)"
         )
+    # The rank 2N^2 - 2N + 1 is the largest number printed from --index N.
+    # It has more digits than the limit exactly when it is at least
+    # 10^limit, a power computed only for a rank within a bit of its size.
     w = WitnessKnot(args.index, args.stab)
+    rank = pretzel.hfk_top_rank(w)
+    if limit and rank.bit_length() > limit * math.log2(10) - 1 and rank >= 10**limit:
+        raise ValueError(
+            f"--index is too large: the witness rank 2N^2 - 2N + 1 would have more "
+            f"than {limit} digits, the limit for integer string conversion "
+            "(PYTHONINTMAXSTRDIGITS raises it)"
+        )
     poly = pretzel.alexander_of_witness(w)
     result = {
         "index": args.index,
         "stab": args.stab,
-        "rank": pretzel.hfk_top_rank(w),
+        "rank": rank,
         "genus": w.genus,
         "alexander": poly.to_json(),
         "pretty": str(poly),
@@ -470,35 +480,52 @@ _COMMANDS = {
 }
 
 
+def _add_command(p: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """Give ``p`` the options of command ``name``, then ``--json`` and its defaults."""
+    _, func, add_options = _COMMANDS[name]
+    add_options(p)
+    p.add_argument("--json", action="store_true", help="emit a JSON envelope")
+    p.set_defaults(func=func, command=name)
+    return p
+
+
 def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The ``knotrank`` parser; with a ``command`` name, only that subcommand's.
+    """The ``knotrank`` parser; with a ``command`` name, that command's own.
 
     argparse builds a whole parser per subcommand, which is most of the
-    cost of a short command.  A parse whose first word is ``command``
-    never reaches another subcommand, and the one top-level message it
-    can print, ``unrecognized arguments``, shows the usage line, which
-    the metavar keeps listing every command.  So for such a parse the
-    narrow parser prints what the full one prints, byte for byte.  For
-    any other ``command`` (``None``, an unknown name) all are built.
+    cost of a short command.  The parser of ``command`` stands alone: it
+    is the parser the full one nests under that name, with the ``prog``
+    argparse gives it, ``knotrank NAME``, so its help and its every error
+    are the full parser's, byte for byte.  The one message it cannot
+    print is the full parser's ``unrecognized arguments``, whose usage
+    line lists every command; ``_parse`` asks the full parser for that.
+    For any other ``command`` (``None``, an unknown name) the full
+    parser, with every command, is built.
     """
-    names = [command] if command in _COMMANDS else list(_COMMANDS)
+    if command in _COMMANDS:
+        return _add_command(_ArgumentParser(prog=f"knotrank {command}"), command)
     parser = _ArgumentParser(
         prog="knotrank",
         description="Exact Alexander polynomials of pretzel knots, homological "
         "fiberedness tests, witness ranks, and independence certificates.",
     )
-    sub = parser.add_subparsers(
-        dest="command",
-        required=True,
-        metavar="{" + ",".join(_COMMANDS) + "}" if len(names) == 1 else None,
-    )
-    for name in names:
-        help_line, func, add_options = _COMMANDS[name]
-        p = sub.add_parser(name, help=help_line)
-        add_options(p)
-        p.add_argument("--json", action="store_true", help="emit a JSON envelope")
-        p.set_defaults(func=func)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, _, _) in _COMMANDS.items():
+        _add_command(sub.add_parser(name, help=help_line), name)
     return parser
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse ``argv`` as the full parser does, with the named command's parser alone.
+
+    Only words left over after the command's parse, or an argv whose
+    first word is not a command, need the full parser.
+    """
+    if argv and argv[0] in _COMMANDS:
+        args, extra = build_parser(argv[0]).parse_known_args(argv[1:])
+        if not extra:
+            return args
+    return build_parser().parse_args(argv)
 
 
 def _absorb_negative_values(argv: list[str]) -> list[str]:
@@ -531,10 +558,9 @@ def _report(message: str, code: int) -> int:
 
 
 def _run(argv: list[str]) -> int:
-    parser = build_parser(argv[0] if argv else None)
     try:
         try:
-            args = parser.parse_args(_absorb_negative_values(argv))
+            args = _parse(_absorb_negative_values(argv))
         except SystemExit as exc:  # argparse printed the help or a usage error
             return exc.code if isinstance(exc.code, int) else 2
         return args.func(args)

@@ -422,6 +422,43 @@ def test_verify_rejects_wrong_rank():
     )
 
 
+def forge_last_witness(rank, factorization, max_prime, selected):
+    """``build_certificate(3, 100)`` (primes 5, 13, 41) with its last witness and prime replaced."""
+    cert = verified_certificate(3, 100)
+    assert cert.selected_primes == (5, 13, 41)
+    cw = cert.witnesses[2]
+    witnesses = (*cert.witnesses[:2], CertifiedWitness(cw.witness, rank, factorization, max_prime))
+    primes = (*cert.selected_primes[:2], selected)
+    return IndependenceCertificate(witnesses, primes, cert.evaluation)
+
+
+def test_verify_ties_a_stored_rank_to_its_knot():
+    # a prime rank with its own factorization, max prime and selection is
+    # consistent everywhere else: only the rank-against-knot check sees it
+    forged = forge_last_witness(1000003, (PrimePower(1000003, 1),), 1000003, 1000003)
+    assert verify_certificate(forged) == VerificationResult(
+        False, "witness 2: stored rank 1000003 does not match its knot"
+    )
+
+
+def test_verify_ties_a_factorization_to_its_rank():
+    # the true rank 41 with a factorization, max prime and selection of 1000003:
+    # only the product check sees it
+    forged = forge_last_witness(41, (PrimePower(1000003, 1),), 1000003, 1000003)
+    assert verify_certificate(forged) == VerificationResult(
+        False, "witness 2: factorization does not multiply back to the rank"
+    )
+
+
+def test_verify_rejects_equal_selected_primes_by_their_order():
+    # an equal pair also fails the entry check, but the order check names it first
+    cert = verified_certificate(3, 100)
+    tampered = IndependenceCertificate(cert.witnesses, (5, 13, 13), cert.evaluation)
+    assert verify_certificate(tampered) == VerificationResult(
+        False, "selected primes are not strictly increasing at position 2"
+    )
+
+
 def test_verify_rejects_composite_selected_prime():
     cert = verified_certificate(2, 100)
     tampered = IndependenceCertificate(cert.witnesses, (5, 15), cert.evaluation)

@@ -6,7 +6,8 @@ import subprocess
 import sys
 import tempfile
 import time
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
+from math import isqrt
 from pathlib import Path
 from unittest import mock
 
@@ -1051,6 +1052,50 @@ def test_rank_with_no_digit_limit_refuses_nothing(capsys):
     assert code == 0 and out.startswith("rank: 13\n")
 
 
+INDEX_REFUSAL = (
+    "error: --index is too large: the witness rank 2N^2 - 2N + 1 would have more than "
+    "{} digits, the limit for integer string conversion (PYTHONINTMAXSTRDIGITS raises it)\n"
+)
+
+
+def test_rank_refuses_an_unprintable_index_up_front():
+    # 2,200 nines parse as an int, but their rank has 4,401 digits
+    start = time.perf_counter()
+    proc = run_module("rank", "--index", "9" * 2200, "--json", timeout=30)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 2
+    assert elapsed < 1.0, f"rank --index 9...9 took {elapsed:.2f}s, budget 1s"
+    assert (proc.stdout, proc.stderr) == ("", INDEX_REFUSAL.format(4300))
+
+
+def test_rank_refuses_exactly_the_indices_whose_rank_could_not_be_printed(capsys, monkeypatch):
+    # Under a 640-digit limit, the last index whose rank 2N^2 - 2N + 1 has
+    # 640 digits prints, and the next is refused before any computation.
+    def rank(n):
+        return 2 * n * n - 2 * n + 1
+
+    last = isqrt(10**640 // 2)
+    while rank(last + 1) < 10**640:
+        last += 1
+    while rank(last) >= 10**640:
+        last -= 1
+
+    def refuse(*args):
+        raise AssertionError("rank computed a polynomial it then refused")
+
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = run_cli(capsys, "rank", "--index", str(last))
+        monkeypatch.setattr(pretzel, "alexander_of_witness", refuse)
+        refused = run_cli(capsys, "rank", "--index", str(last + 1))
+    finally:
+        sys.set_int_max_str_digits(before)
+    assert code == 0 and err == ""
+    assert out.startswith(f"rank: {rank(last)}\n") and len(str(rank(last))) == 640
+    assert refused == (2, "", INDEX_REFUSAL.format(640))
+
+
 def test_module_entry_point_subprocess():
     proc = run_module("rank", "--index", "2", "--json", timeout=60)
     assert proc.returncode == 0
@@ -1113,8 +1158,14 @@ def test_one_process_matches_first_calls(command_mix, first_calls):
 def test_a_named_command_builds_only_its_own_parser(command_mix, first_calls):
     every = list(cli._COMMANDS)
     assert every == ["alexander", "fibered", "witness", "certificate", "rank", "selftest"]
-    expected = [[argv[0]] if argv[0] in every else every for argv in command_mix]
-    assert [built for *_, built in first_calls] == expected
+    full = [None, every]  # build_parser(), adding every subcommand
+
+    def expected(argv):
+        if argv == ["witness", "--prime", "13", "extra"]:  # leftover words: the full parser's error
+            return [[argv[0], []], full]
+        return [[argv[0], []]] if argv[0] in every else [full]
+
+    assert [built for *_, built in first_calls] == [expected(argv) for argv in command_mix]
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -1132,8 +1183,25 @@ PARSER_WORDS = [
     "--prime", "--pri", "--json", "--js", "--pretzel", "--pretzel=3,3,3", "-1,3,3",
     "3,3,3", "--seifert", "--count", "--search-limit", "--search", "--index",
     "--stab", "--fast", "-h", "--help", "--bogus", "-x", "13", "2", "x", "witness",
-    "rank", "--",
+    "rank", "--", "-", "--=x", "--json=1", "-hx", "--csv", "-1",
 ]
+
+
+@pytest.fixture(scope="module")
+def csv_cwd(tmp_path_factory):
+    """A context that runs in a scratch directory, where ``--csv PATH`` writes its file."""
+    tmp = tmp_path_factory.mktemp("csv")
+
+    @contextmanager
+    def inside():
+        before = os.getcwd()
+        os.chdir(tmp)
+        try:
+            yield
+        finally:
+            os.chdir(before)
+
+    return inside
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -1144,15 +1212,19 @@ PARSER_WORDS = [
 @example(command="witness", rest=["--prime", "13", "extra"])
 @example(command="rank", rest=["--index", "2", "--bogus"])
 @example(command="certificate", rest=["-h"])
-def test_narrow_parser_prints_what_the_full_parser_prints(command, rest):
+@example(command="certificate", rest=["--count", "2", "--json", "extra", "--bogus"])
+@example(command="witness", rest=["--prime", "13", "--", "13"])
+@example(command="rank", rest=["--", "--index", "2"])
+def test_narrow_parser_prints_what_the_full_parser_prints(command, rest, csv_cwd):
     argv = [command, *rest]
     if command == "selftest" and "--fast" not in rest:
         argv.append("--fast")  # the full ranges take minutes
-    build_full = cli.build_parser
-    with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}), csv_cwd():
         narrow = run_calls([argv])
-        with mock.patch.object(cli, "build_parser", lambda command=None: build_full()):
+        # the reference parses the whole argv with the full parser
+        with mock.patch.object(cli, "_parse", lambda argv: cli.build_parser().parse_args(argv)):
             full = run_calls([argv])
+    assert full[0][3] == [[None, list(cli._COMMANDS)]]
     assert narrow[0][:3] == full[0][:3]
 
 
