@@ -24,7 +24,13 @@ class SearchExhausted(RuntimeError):
 
 
 def prime_component(w: WitnessKnot, p: int) -> int:
-    """Exponent of the prime p in the rank of w."""
+    """Exponent of the prime p in the rank of w.
+
+    Raises ``ValueError`` for p >= ``numtheory.PRIMALITY_BOUND``, where
+    ``is_prime`` proves nothing.
+    """
+    if p >= numtheory.PRIMALITY_BOUND:
+        raise numtheory._unproven(p)
     if not numtheory.is_prime(p):
         raise NotPrime(f"{p} is not prime")
     r = pretzel.hfk_top_rank(w)

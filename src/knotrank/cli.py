@@ -130,7 +130,7 @@ def _certificate_json(cert: characters.IndependenceCertificate, verified: bool) 
     witnesses = []
     for cw in cert.witnesses:
         w = cw.witness
-        pairs = ",\n          ".join([_PAIR_JSON % (p, e) for p, e in cw.factorization])
+        pairs = ",\n          ".join(map(_PAIR_JSON.__mod__, cw.factorization))
         witnesses.append(
             _WITNESS_JSON
             % (
@@ -139,7 +139,7 @@ def _certificate_json(cert: characters.IndependenceCertificate, verified: bool) 
                 cw.rank,
                 w.genus,
                 w.index,
-                *w.base.strands,
+                *w.strands,
                 w.stab_count,
                 pretzel.hfk_top_rank(w),
             )
@@ -219,16 +219,16 @@ def cmd_witness(args) -> int:
     cw = characters.witness_for_prime(p)
     n = cw.witness.index
     m = (2 * n - 1) % p  # the pinned square root of -1 that gave n
+    strands = cw.witness.strands
     result = {
         "prime": p,
         "m": m,
         "n": n,
-        "pretzel": list(cw.witness.base.strands),
+        "pretzel": list(strands),
         "rank": cw.rank,
         "factorization": [[q, e] for q, e in cw.factorization],
         "rank_mod_p": cw.rank % p,
     }
-    strands = cw.witness.base.strands
     factors = " * ".join(f"{q}^{e}" if e > 1 else str(q) for q, e in cw.factorization)
     text = (
         f"prime: {p}\n"

@@ -8,7 +8,9 @@ witness-index case split, and complete integer factorization.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd, isqrt
+from itertools import compress
+from math import gcd, isqrt, prod
+from operator import mul
 from typing import NamedTuple
 
 
@@ -49,27 +51,34 @@ _MR_BOUNDS = (
     318665857834031151167461,
     PRIMALITY_BOUND,
 )
+_MR_PRODUCT = prod(_MR_WITNESSES)
+
+
+def _unproven(x: int) -> ValueError:
+    """The error for an x from which on a True ``is_prime`` answer is only probable."""
+    return ValueError(f"{x} is not below {PRIMALITY_BOUND}, where primality stops being proven")
 
 
 def is_prime(x: int) -> bool:
     """Miller-Rabin primality, deterministic below ``PRIMALITY_BOUND``.
 
-    Bases are tried in order, and x is proven prime as soon as it has
-    passed the first k bases and lies below the least strong pseudoprime
-    to them; every 64-bit integer needs at most 12 bases.  From
-    ``PRIMALITY_BOUND`` on all 13 bases are tried, and a True answer is
-    probable, not proven.
+    One gcd with the product of the 13 bases screens them out: an x that
+    shares a factor with it is prime only if it is one of them.  x - 1 =
+    2^s * d is read from its lowest set bit.  Bases are tried in order,
+    and x is proven prime as soon as it has passed the first k bases and
+    lies below the least strong pseudoprime to them; every 64-bit integer
+    needs at most 12 bases.  From ``PRIMALITY_BOUND`` on all 13 bases are
+    tried, and a True answer is probable, not proven; ``sqrt_minus_one``,
+    ``factorize`` and ``characters.prime_component`` refuse such a
+    number rather than rely on it.
     """
     if x < 2:
         return False
-    for p in _MR_WITNESSES:
-        if x % p == 0:
-            return x == p
+    if gcd(x, _MR_PRODUCT) != 1:
+        return x in _MR_WITNESSES
     d = x - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
+    s = (d & -d).bit_length() - 1
+    d >>= s
     for a, bound in zip(_MR_WITNESSES, _MR_BOUNDS):
         v = pow(a, d, x)
         if v != 1 and v != x - 1:
@@ -93,7 +102,7 @@ def prime_sieve(limit: int) -> list[int]:
     for i in range(2, isqrt(limit) + 1):
         if flags[i]:
             flags[i * i :: i] = bytearray(len(range(i * i, limit + 1, i)))
-    return [i for i, f in enumerate(flags) if f]
+    return list(compress(range(limit + 1), flags))
 
 
 def primes_one_mod_four(limit: int) -> list[int]:
@@ -109,8 +118,11 @@ def sqrt_minus_one(p: int) -> int:
     The search is bounded: it raises ``NotPrime`` when a base shows an
     Euler criterion value other than +-1, when the bases run out, or
     when the root does not square to -1, so a composite that passed
-    ``is_prime`` cannot make it loop forever.
+    ``is_prime`` cannot make it loop forever.  It raises ``ValueError``
+    for p >= ``PRIMALITY_BOUND``, where ``is_prime`` proves nothing.
     """
+    if p >= PRIMALITY_BOUND:
+        raise _unproven(p)
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if p % 4 != 1:
@@ -121,13 +133,18 @@ def sqrt_minus_one(p: int) -> int:
 def _pinned_root(p: int) -> int:
     """``sqrt_minus_one(p)`` without its checks, for a p = 1 (mod 4) that is
     prime or has passed ``is_prime``: the search for the least non-residue.
+
+    Each candidate a costs one power: the root a^((p-1)/4) comes first,
+    and its square is the Euler criterion value a^((p-1)/2).  A value
+    of 1 moves on to a + 1, a value of -1 gives the root, and any other
+    value shows that p is not prime.
     """
     for a in range(2, p):
-        euler = pow(a, (p - 1) // 2, p)
+        root = pow(a, (p - 1) // 4, p)
+        euler = root * root % p
         if euler == 1:
             continue
-        root = pow(a, (p - 1) // 4, p)
-        if euler == p - 1 and root * root % p == p - 1:
+        if euler == p - 1:
             return root
         break
     raise NotPrime(f"{p} is not prime")
@@ -152,16 +169,32 @@ def _root_index(m: int, p: int) -> int:
     return (m + 1) * ((p + 1) // 2) % p
 
 
+# factorize divides out every prime below _SMALL_BOUND, so a leftover
+# below _SMALL_BOUND^2 is prime: a composite with no smaller factor is
+# at least 10007^2, the square of the least prime above the bound.
+_SMALL_BOUND = 10_000
+
+
 @lru_cache(maxsize=1)
 def _small_primes() -> tuple[int, ...]:
-    return tuple(prime_sieve(10_000))
+    return tuple(prime_sieve(_SMALL_BOUND))
+
+
+@lru_cache(maxsize=1)
+def _small_prime_product() -> int:
+    # two primes below 10,000 fit in one 30-bit digit of an int, so the
+    # running product is multiplied by half as many factors if they are
+    # paired first; the 1 pads an odd count
+    primes = (*_small_primes(), 1)
+    return prod(map(mul, primes[::2], primes[1::2]))
 
 
 def _pollard_rho(n: int) -> int:
     """A nontrivial factor of an odd composite n, Brent's cycle variant.
 
-    n is always odd: ``factorize`` divides out every prime below 10,000
-    before ``_factor_completely`` runs, so no factor it splits is even.
+    n is always odd: ``factorize`` divides out every prime below 10,000,
+    found by one gcd with their product, before ``_factor_completely``
+    runs, so no factor it splits is even.
     Deterministic: the polynomial offset starts at 1 and is bumped until
     a factor splits.
     """
@@ -195,8 +228,19 @@ def _pollard_rho(n: int) -> int:
 
 
 def _factor_completely(x: int, acc: list[int]) -> None:
-    # x > 1 has no prime factor below the small-prime bound
+    """Append the prime factors of x > 1, which has none below 10,000, to acc.
+
+    A part below 10,000^2 is prime with no test, a proof (see
+    ``_SMALL_BOUND``); a larger part is tested by ``is_prime`` and split
+    by ``_pollard_rho``.  A part from ``PRIMALITY_BOUND`` on that passes
+    every base raises ``ValueError``, since it is only a probable prime.
+    """
+    if x < _SMALL_BOUND * _SMALL_BOUND:
+        acc.append(x)
+        return
     if is_prime(x):
+        if x >= PRIMALITY_BOUND:
+            raise _unproven(x)
         acc.append(x)
         return
     d = _pollard_rho(x)
@@ -205,16 +249,34 @@ def _factor_completely(x: int, acc: list[int]) -> None:
 
 
 def factorize(x: int) -> list[PrimePower]:
-    """Complete prime factorization, ascending; the unit 1 factors to []."""
+    """Complete prime factorization, ascending; the unit 1 factors to [].
+
+    One gcd with the product of the primes below 10,000 gives g, the
+    product of those that divide x.  The table is walked only while the
+    square of its prime is at most what is left of g, and what is left
+    after the walk is 1 or the largest of them.  The cofactor goes to
+    ``_factor_completely``.  Raises ``ValueError`` for x < 1, and for an
+    x with a factor from ``PRIMALITY_BOUND`` on that passes every base.
+    """
     if x < 1:
         raise ValueError(f"factorize requires a positive integer, got {x}")
     counts: dict[int, int] = {}
+    g = gcd(x, _small_prime_product())
+    small: list[int] = []
     for p in _small_primes():
-        if p * p > x:
+        if p * p > g:
             break
+        if g % p == 0:
+            g //= p
+            small.append(p)
+    if g > 1:
+        small.append(g)
+    for p in small:
+        e = 0
         while x % p == 0:
-            counts[p] = counts.get(p, 0) + 1
             x //= p
+            e += 1
+        counts[p] = e
     if x > 1:
         large: list[int] = []
         _factor_completely(x, large)

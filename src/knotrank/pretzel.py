@@ -79,6 +79,12 @@ class WitnessKnot(Frozen):
         return PretzelKnot(-self.index, self.index, self.index * self.index)
 
     @property
+    def strands(self) -> tuple[int, int, int]:
+        """``base.strands``, (1 - 2n, 2n + 1, 2n^2 + 1), without building the base knot."""
+        n = self.index
+        return (1 - 2 * n, 2 * n + 1, 2 * n * n + 1)
+
+    @property
     def genus(self) -> int:
         return self.stab_count + 1
 
@@ -86,7 +92,7 @@ class WitnessKnot(Frozen):
         return {
             "index": self.index,
             "stab": self.stab_count,
-            "pretzel": list(self.base.strands),
+            "pretzel": list(self.strands),
             "genus": self.genus,
             "top_rank": hfk_top_rank(self),
         }

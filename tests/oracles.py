@@ -114,6 +114,18 @@ def scan_sqrt_minus_one(p):
     return [m for m in range(1, p) if m * m % p == p - 1]
 
 
+def least_non_residue_root(p):
+    """a^((p-1)/4) mod p for the least a with a^((p-1)/2) = -1 mod p, for a prime p = 1 mod 4.
+
+    Euler's criterion names the non-residue; its own power, not the
+    square of the root, decides which a that is.
+    """
+    a = 2
+    while pow(a, (p - 1) // 2, p) != p - 1:
+        a += 1
+    return pow(a, (p - 1) // 4, p)
+
+
 def fraction_rank(rows):
     """Matrix rank over Q, by textbook Gaussian elimination with fractions."""
 

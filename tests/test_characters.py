@@ -60,6 +60,15 @@ def test_prime_component_rejects_composite_modulus():
         prime_component(witness(4), 6)
 
 
+def test_prime_component_refuses_values_from_the_primality_bound_on():
+    # the bound passes every Miller-Rabin base, yet is 1287836182261 * 2575672364521
+    bound = numtheory.PRIMALITY_BOUND
+    for p in (bound, nextprime(bound)):
+        with pytest.raises(ValueError, match=f"not below {bound}"):
+            prime_component(witness(4), p)
+    assert prime_component(witness(4), 5) == 2
+
+
 def test_max_prime_examples():
     assert certify(witness(1)).max_prime == 1  # rank 1: the "or 1" clause
     assert certify(witness(7)).max_prime == 17  # rank 85 = 5 * 17

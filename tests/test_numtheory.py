@@ -1,9 +1,10 @@
 import random
+from math import prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sympy import isprime, nextprime
+from sympy import factorint, isprime, nextprime, primerange
 
 from knotrank import numtheory
 from knotrank.numtheory import (
@@ -18,6 +19,7 @@ from knotrank.numtheory import (
     witness_index,
 )
 from oracles import (
+    least_non_residue_root,
     scan_sqrt_minus_one,
     simple_sieve,
     strong_pseudoprime_to_first_bases,
@@ -32,6 +34,16 @@ def test_is_prime_small_values():
     assert is_prime(2)
     assert not is_prime(1)
     assert not is_prime(0)
+
+
+def test_is_prime_base_screen():
+    # one gcd with the product of the 13 bases stands in for 13 remainders
+    for a in numtheory._MR_WITNESSES:
+        assert is_prime(a), a
+    assert not is_prime(1)
+    assert not is_prime(2 * 41)
+    assert not is_prime(41 * 43)
+    assert not is_prime(43 * 47)  # no base divides it: Miller-Rabin rejects it
 
 
 def test_is_prime_matches_trial_division():
@@ -58,6 +70,24 @@ def test_primality_bound_is_the_least_pseudoprime_to_all_13_bases():
     n = numtheory.PRIMALITY_BOUND
     assert n == 1287836182261 * 2575672364521
     assert is_prime(n)  # so answers from here on are only probable
+
+
+def test_answers_resting_on_a_probable_prime_are_refused():
+    bound = numtheory.PRIMALITY_BOUND
+    q = nextprime(bound, 2)  # a prime = 1 mod 4 past the bound
+    assert q % 4 == 1
+    for p in (bound, q):
+        with pytest.raises(ValueError, match=f"not below {bound}"):
+            sqrt_minus_one(p)
+        with pytest.raises(ValueError, match=f"not below {bound}"):
+            witness_index(p)
+        with pytest.raises(ValueError, match=f"not below {bound}"):
+            factorize(p)
+    with pytest.raises(ValueError, match=f"not below {bound}"):
+        factorize(3 * bound)  # the probable prime is a part, not the input
+    # a large input whose parts are all proven still factors
+    assert factorize(2**100) == [PrimePower(2, 100)]
+    assert factorize(5 * 10**30) == [PrimePower(2, 30), PrimePower(5, 31)]
 
 
 # OEIS A014233: the least strong pseudoprime to the first k prime bases, k = 1..13
@@ -155,6 +185,11 @@ def test_sqrt_minus_one_terminates_on_composite_past_is_prime(monkeypatch, n):
         sqrt_minus_one(n)
 
 
+def test_pinned_root_matches_the_least_non_residue_oracle():
+    for p in primes_one_mod_four(100_000):
+        assert numtheory._pinned_root(p) == least_non_residue_root(p), p
+
+
 def test_sqrt_minus_one_against_full_scan():
     for p in primes_one_mod_four(1_000):
         m = sqrt_minus_one(p)
@@ -213,6 +248,34 @@ def test_factorize_prime_powers_and_mixed():
         PrimePower(3, 4),
         PrimePower(9973, 1),
     ]
+
+
+def test_factorize_around_the_small_prime_screen():
+    assert numtheory._small_prime_product() == prod(simple_sieve(10_000))
+    # 10007 is the least prime above the screen's 10,000, so 10007^2 is the
+    # least composite the screen leaves whole
+    assert factorize(9973**2) == [PrimePower(9973, 2)]
+    assert factorize(9973 * 10007) == [PrimePower(9973, 1), PrimePower(10007, 1)]
+    assert factorize(10007**2) == [PrimePower(10007, 2)]
+    assert factorize(10**8 - 1) == [
+        PrimePower(3, 2),
+        PrimePower(11, 1),
+        PrimePower(73, 1),
+        PrimePower(101, 1),
+        PrimePower(137, 1),
+    ]
+    assert factorize(10007 * (2**61 - 1)) == [PrimePower(10007, 1), PrimePower(2**61 - 1, 1)]
+
+
+NEAR_SCREEN = list(primerange(9_000, 10_101))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.sampled_from(NEAR_SCREEN), min_size=1, max_size=4), st.integers(1, 10**15))
+def test_factorize_near_the_screen_against_sympy(near, y):
+    # primes on both sides of 10,000, repeated or not, times an arbitrary cofactor
+    x = prod(near) * y
+    assert factorize(x) == [PrimePower(p, e) for p, e in sorted(factorint(x).items())]
 
 
 def test_factorize_large_semiprime_via_rho():

@@ -77,6 +77,15 @@ def test_fibered_agrees_with_polynomial_conditions():
 )
 def test_witness_strand_values(index, strands):
     assert witness(index).base.strands == strands
+    assert witness(index).strands == strands
+
+
+def test_witness_strands_equal_the_base_knot_strands():
+    # the property writes out (1 - 2n, 2n + 1, 2n^2 + 1) without building the base
+    for n in [*range(1, 10_001), *range(10**12 - 50, 10**12 + 51)]:
+        w = witness(n)
+        assert w.strands == w.base.strands, n
+    assert WitnessKnot(7, 3).strands == WitnessKnot(7).base.strands
 
 
 def test_witness_rejects_bad_index():
