@@ -141,15 +141,34 @@ class IndependenceCertificate(Frozen):
 
     @classmethod
     def from_json(cls, data: dict) -> "IndependenceCertificate":
+        """The record that ``data`` describes.
+
+        A k x k matrix of ints is read into the view of its nonzero cells
+        that a built record holds, by C-level scans of each row (a ``set``
+        of the entries' types, then a ``compress``).  A row with any other
+        entry is checked entry by entry with ``json_int``, and any other
+        shape stays a dense tuple of tuples, which ``verify_certificate``
+        rejects for its dimensions.  Both compare, hash and print alike.
+        """
         try:
             witnesses = tuple(CertifiedWitness.from_json(w) for w in data["witnesses"])
             primes = tuple(json_int(p, "a prime") for p in data["primes"])
-            matrix = tuple(
-                tuple(json_int(v, "a matrix entry") for v in row) for row in data["matrix"]
-            )
+            rows = []
+            exact = True
+            for row in data["matrix"]:
+                row = tuple(row)
+                if not set(map(type, row)) <= {int}:
+                    exact = False
+                    for v in row:
+                        json_int(v, "a matrix entry")
+                rows.append(row)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed certificate JSON: {exc}") from exc
-        return cls(witnesses, primes, matrix)
+        k = len(rows)
+        if exact and all(len(row) == k for row in rows):
+            cells = [[(j, row[j]) for j in compress(range(k), row)] for row in rows]
+            return cls(witnesses, primes, _EvaluationView(cells))
+        return cls(witnesses, primes, tuple(rows))
 
     def to_csv(self) -> str:
         """Evaluation matrix as CSV: rows are primes, columns are witnesses."""

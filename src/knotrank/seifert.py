@@ -4,23 +4,26 @@
 V - t*V^T = S * (I + (1 - t) * M) with S = V - V^T and M = S^-1 * V^T,
 so the determinant is det(S) times a characteristic polynomial.  One
 modulus P = 2^k, the least power of two above twice Hadamard's bound
-on the coefficients, carries the whole computation: Gauss-Jordan
-elimination for M, a similarity reduction to upper Hessenberg form and
-the Hessenberg recurrence for the characteristic polynomial (Cohen, *A
-Course in Computational Algebraic Number Theory*, 2.2.4), then the
-symmetric residues, which are the exact coefficients.  Their sum
-Delta(1) = det(S) tells whether V is a knot's.
+on the coefficients, carries the whole computation: Gaussian
+elimination with back substitution for M, a similarity reduction to
+upper Hessenberg form and the Hessenberg recurrence for the
+characteristic polynomial (Cohen, *A Course in Computational Algebraic
+Number Theory*, 2.2.4), then the symmetric residues, which are the
+exact coefficients.  Their sum Delta(1) = det(S) tells whether V is a
+knot's.
 Both eliminations pivot on an entry of least 2-adic valuation.  A knot
-has det(S) = +-1, which is odd, so every Gauss-Jordan column has an odd
+has det(S) = +-1, which is odd, so every elimination column has an odd
 pivot, a unit modulo 2^k; a column without one means det(S) is even,
 and V is not a knot's.  In the Hessenberg reduction the pivot 2^v * u,
 u odd, divides every other entry of its column modulo 2^k.  So no pivot
 fails and no other modulus is ever needed.
-The elimination and the reduction defer their ``& (P - 1)``: entries
-may be unreduced between steps, and each value that is tested as a
-pivot, inverted or used as a multiplier is reduced first.  A value and
-its reduction have the same residue, so the routine takes the same
-branches and returns the same residues as with every entry reduced.
+The elimination works on lists of ints.  The Hessenberg reduction and
+the recurrence work on packed ints: a column of the matrix, or a
+polynomial, is one int holding one residue per slot of 2k + O(log n)
+bits (Kronecker substitution; Schoenhage, 1982).  A row update of a
+whole column is then one multiply-add, and one ``&`` with P - 1 in
+every slot reduces every entry at once, since modulo a power of two a
+residue is its low k bits.
 """
 
 from __future__ import annotations
@@ -159,15 +162,15 @@ def _coefficient_bound(e: Sequence[Sequence[int]]) -> int:
     return isqrt(product) + 1
 
 
-def _pivot(rows: list[list[int]], col: int, start: int, mask: int) -> tuple[int, int]:
-    """The first row from ``start`` whose entry in column ``col`` has the
-    least 2-adic valuation modulo 2^k = mask + 1, and that entry reduced.
+def _pivot(column: Sequence[int], mask: int) -> tuple[int, int]:
+    """The index of the first entry of least 2-adic valuation modulo
+    2^k = mask + 1, and that entry reduced.
 
     An odd entry ends the search.  The entry is 0 when every one is.
     """
-    best, pivot = start, 0
-    for r in range(start, len(rows)):
-        x = rows[r][col] & mask
+    best, pivot = 0, 0
+    for r, x in enumerate(column):
+        x &= mask
         if x & 1:
             return r, x
         if x and (not pivot or x & -x < pivot & -pivot):
@@ -175,44 +178,145 @@ def _pivot(rows: list[list[int]], col: int, start: int, mask: int) -> tuple[int,
     return best, pivot
 
 
+def _pack(values: Sequence[int], width: int) -> int:
+    """values[i] in the slot of bits [i * width, (i + 1) * width)."""
+    x = 0
+    for v in reversed(values):
+        x = x << width | v
+    return x
+
+
+def _slots(x: int, width: int, count: int, mask: int) -> list[int]:
+    """The lowest ``count`` slots of x, each taken modulo mask + 1."""
+    out = []
+    for _ in range(count):
+        out.append(x & mask)
+        x >>= width
+    return out
+
+
+def _charpoly_mod(rows: list[list[int]], p: int) -> list[int]:
+    """The coefficients of det(x*I - N) modulo p = 2^k, lowest first, for
+    the n x n integer matrix N given by its rows.  ``rows`` is emptied
+    once its columns are packed, so that N is held only once.
+
+    A similarity reduction to upper Hessenberg form, then the Hessenberg
+    recurrence (Cohen 2.2.4).  The reduction clears column k below row
+    k + 1 with row operations and undoes them with one column operation.
+    It pivots on an entry x = 2^v * u of least 2-adic valuation, u odd, so
+    every entry y below it in its column is 2^v times (y >> v), and the
+    multiplier (y >> v) * u^-1 clears y modulo p.  The similarity is
+    unipotent, so the characteristic polynomial is unchanged; a column
+    that is 0 modulo p is skipped.  Every step is a ring operation modulo
+    p, so the result is correct for any power of two p >= 2.
+
+    Column c of N is held as one int, with the residue of row i in the
+    slot of bits [i*w, (i + 1)*w), where w = 2k + n.bit_length() + 1.  A
+    row update adds (p - f) * y to a slot, which is -f*y modulo p; a
+    column operation adds at most n - 2 products of a residue and a
+    column to a column.  Either way a slot holds at most
+    (p - 1) + n * (p - 1)^2 < 2^w before it is reduced, so no sum carries
+    into the next slot, and one ``&`` with p - 1 repeated in every slot
+    reduces them all.  Every slot is reduced after every step, so each
+    entry that is read, as a pivot, a multiplier or by the recurrence, is
+    a residue.  The characteristic polynomials are packed the same way
+    (Kronecker substitution), one coefficient per slot of width
+    2k + (n + 1).bit_length() + 1, which holds the at most n + 1 terms of
+    a step of the recurrence.
+    """
+    n = len(rows)
+    mask = p - 1
+    bits = p.bit_length() - 1
+    w = 2 * bits + n.bit_length() + 1
+    full = mask * _pack([1] * n, w)
+    cols = [_pack([row[c] & mask for row in rows], w) for c in range(n)]
+    rows.clear()
+    # A row update touches only the slots from row k + 2 up, so each
+    # column is split there and its high part gets one multiply-add.
+    # Columns left of k hold zeros below row k + 1.
+    for k in range(n - 2):
+        top = w * (k + 1)
+        below = _slots(cols[k] >> top, w, n - k - 1, mask)
+        i, pivot = _pivot(below, mask)
+        if not pivot:
+            continue
+        v = (pivot & -pivot).bit_length() - 1
+        inv = pow(pivot >> v, -1, p)
+        below[i] = below[0]  # rows k + 1 and r = k + 1 + i trade places
+        factors = [(y >> v) * inv & mask for y in below[1:]]
+        if not i and not any(factors):
+            continue
+        # Swap rows and columns k + 1 and r (when i > 0), then subtract
+        # factors[j] times row k + 1 from row k + 2 + j.
+        if i:
+            cols[k + 1], cols[k + 1 + i] = cols[k + 1 + i], cols[k + 1]
+        cols[k] = cols[k] & (1 << top) - 1 | pivot << top
+        split = top + w
+        low = (1 << split) - 1
+        high = full >> split
+        swap = w * (i - 1)
+        negated = _pack([-f & mask for f in factors], w)
+        for c in range(k + 1, n):
+            x = cols[c]
+            lo, hi = x & low, x >> split
+            y = lo >> top
+            if i:
+                z = hi >> swap & mask
+                lo += z - y << top
+                hi += y - z << swap
+                y = z
+            cols[c] = lo | (hi + negated * y & high) << split
+        if negated:
+            cols[k + 1] = sum(map(mul, factors, cols[k + 2 :]), cols[k + 1]) & full
+    # chars[m] is det(x*I - H_m) for the leading m x m block H_m.  Column
+    # m of H has entries in rows 0..m+1 only, so the slot of row m + 1 is
+    # the top of the int.
+    width = 2 * bits + (n + 1).bit_length() + 1
+    reduce = mask * _pack([1] * (n + 1), width)
+    sub_diagonal = [cols[m] >> w * (m + 1) for m in range(n - 1)]
+    chars = [1]
+    for m in range(n):
+        column = _slots(cols[m], w, m + 1, mask)
+        nxt = (chars[m] << width) + (-column[m] & mask) * chars[m]
+        sub = 1
+        for i in range(m - 1, -1, -1):
+            sub = sub * sub_diagonal[i] & mask
+            if not sub:
+                break
+            f = column[i] * sub & mask
+            if f:
+                nxt += (p - f) * chars[i]
+        chars.append(nxt & reduce)
+    return _slots(chars[n], width, n + 1, mask)
+
+
 def _alexander_mod(e: Sequence[Sequence[int]], p: int) -> list[int]:
     """The coefficients of det(V - t*V^T) modulo p = 2^k, lowest first.
 
     Every step is a ring operation modulo p, so the result is correct for
-    any power of two p >= 2.  Gauss-Jordan on S = V - V^T divides only by
-    odd pivots, units modulo p.  If a column has no odd entry left, det(S)
-    is even (with every earlier pivot odd, S is singular modulo 2), and
-    this raises ``NotUnitAtOne``; if det(S) is odd, every column has one.
-    The Hessenberg reduction pivots on an entry x = 2^v * u of least
-    2-adic valuation, u odd, so every entry y below it in its column is
-    2^v times (y >> v), and the multiplier (y >> v) * u^-1 clears y
-    modulo p.  The similarity is unipotent, so the characteristic
-    polynomial is unchanged; a column that is 0 modulo p is skipped.
-
-    The reductions are deferred.  Between steps an entry may be
-    unreduced: a row update is x - u*y with no reduction.  Every value
-    that is tested as a pivot, inverted, or used as a multiplier is
-    reduced first, and so is the pivot row an update reads; a column
-    operation's sum is reduced as it is written, one entry per row.  A
-    reduced value has the same residue as the unreduced one, so every
-    branch (the pivot chosen, a skipped column, ``NotUnitAtOne``) and
-    every residue is what it would be with every entry kept reduced.  As
-    u and y are residues, an entry grows only by sums of products of two
-    residues, never multiplicatively.  The Hessenberg part is reduced
-    once before the characteristic-polynomial recurrence, which works on
-    residues.
+    any power of two p >= 2.  The elimination on S = V - V^T divides only
+    by odd pivots, units modulo p.  If a column has no odd entry left,
+    det(S) is even (with every earlier pivot odd, S is singular modulo 2),
+    and this raises ``NotUnitAtOne``; if det(S) is odd, every column has
+    one.  The elimination works on lists and defers its reductions: a row
+    update is x - f*y with no reduction, and every value that is tested as
+    a pivot, inverted or used as a multiplier is reduced first, so every
+    branch and residue is what it would be with every entry reduced.
+    ``_charpoly_mod`` then gives det(x*I - N) for N = -S^-1 * V^T.
     """
     n = len(e)
     mask = p - 1
-    # Gauss-Jordan on [S | -V^T] leaves [I | N] with N = -S^-1 * V^T.
-    # Columns up to c hold the identity once column c is done; they are
-    # never read again, so row operations skip them and they are dropped.
+    # Forward elimination on [S | -V^T] leaves S unit upper triangular;
+    # its row updates skip the columns up to the pivot's, whose entries
+    # below the pivot are then 0.  Back substitution clears the upper
+    # triangle by updating the right half alone, which ends as N.
     rows = [
         [e[i][j] - e[j][i] for j in range(n)] + [-e[j][i] for j in range(n)] for i in range(n)
     ]
     det_s = 1
     for c in range(n):
-        r, pivot = _pivot(rows, c, c, mask)
+        r, pivot = _pivot([row[c] for row in rows[c:]], mask)
+        r += c
         if not pivot & 1:
             raise NotUnitAtOne(f"det(V - V^T) is even: column {c} has no odd pivot")
         if r != c:
@@ -222,63 +326,30 @@ def _alexander_mod(e: Sequence[Sequence[int]], p: int) -> list[int]:
         inv = pow(pivot, -1, p)
         pivot_tail = [x * inv & mask for x in rows[c][c + 1 :]]
         rows[c][c + 1 :] = pivot_tail
-        for i, row in enumerate(rows):
+        for row in rows[c + 1 :]:
             f = row[c] & mask
-            if f and i != c:
+            if f:
                 row[c + 1 :] = [x - f * y for x, y in zip(row[c + 1 :], pivot_tail)]
-    for row in rows:
-        del row[:n]
-    h = rows
-    # Upper Hessenberg form by similarity: clear column k below row k + 1
-    # with row operations, and undo them with one column operation, a dot
-    # product per row.  Row operations skip the columns left of k, which
-    # hold zeros, and write column k's residue, 0, without computing it.
-    for k in range(n - 2):
-        r, pivot = _pivot(h, k, k + 1, mask)
-        if not pivot:
-            continue
-        if r != k + 1:
-            h[k + 1], h[r] = h[r], h[k + 1]
-            for row in h:
-                row[k + 1], row[r] = row[r], row[k + 1]
-        pivot_tail = [x & mask for x in h[k + 1][k + 1 :]]
-        h[k + 1][k + 1 :] = pivot_tail
-        v = (pivot & -pivot).bit_length() - 1
-        inv = pow(pivot >> v, -1, p)
-        factors = [((h[i][k] & mask) >> v) * inv & mask for i in range(k + 2, n)]
-        if any(factors):
-            for u, row in zip(factors, h[k + 2 :]):
-                if u:
-                    row[k] = 0
-                    row[k + 1 :] = [x - u * y for x, y in zip(row[k + 1 :], pivot_tail)]
-            for row in h:
-                row[k + 1] = (row[k + 1] + sum(map(mul, factors, row[k + 2 :]))) & mask
-    # The recurrence reads only the upper Hessenberg part: reduce it once.
-    for i, row in enumerate(h):
-        lo = max(i - 1, 0)
-        row[lo:] = [x & mask for x in row[lo:]]
-    # chars[m] is det(x*I - H_m) for the leading m x m block H_m, lowest first.
-    chars = [[1]]
-    for m in range(n):
-        nxt = [0] + chars[m]
-        diag = h[m][m]
-        for j, c in enumerate(chars[m]):
-            nxt[j] -= diag * c
-        sub = 1
-        for i in range(m - 1, -1, -1):
-            sub = sub * h[i + 1][i] & mask
-            if not sub:
-                break
-            f = h[i][m] * sub & mask
-            for j, c in enumerate(chars[i]):
-                nxt[j] -= f * c
-        chars.append([c & mask for c in nxt])
-    # det(I - s*N) = sum of chars[n][n - j] * s^j.  Horner in s = 1 - t
-    # gives det(I + (1 - t) * M); det(S) scales it to det(V - t*V^T).
-    coeffs = [0] * (n + 1)
-    for a in chars[n]:
-        coeffs = [(a + coeffs[0]) & mask] + [(x - y) & mask for x, y in zip(coeffs[1:], coeffs)]
-    return [c * det_s & mask for c in coeffs]
+    for c in range(n - 1, 0, -1):
+        tail = [x & mask for x in rows[c][n:]]
+        for row in rows[:c]:
+            f = row[c] & mask
+            if f:
+                row[n:] = [x - f * y for x, y in zip(row[n:], tail)]
+    rows = [row[n:] for row in rows]  # N alone, which _charpoly_mod then drops
+    chars = _charpoly_mod(rows, p)
+    # det(I - s*N) = sum of chars[n - j] * s^j.  Horner in s = 1 - t gives
+    # det(I + (1 - t) * M) with M = -N; det(S) scales it to det(V - t*V^T).
+    # The coefficients are packed in slots of 2k + 2 bits: a step adds
+    # a + c_j + (p - c_(j-1)) < 3p to slot j, p - c rather than -c, and
+    # the scaling puts a product of two residues in each.
+    width = 2 * p.bit_length()
+    ones = _pack([1] * (n + 1), width)
+    reduce, shifted = mask * ones, p * ones
+    coeffs = 0
+    for a in chars:
+        coeffs = a + coeffs + (shifted - coeffs << width) & reduce
+    return _slots(coeffs * det_s & reduce, width, n + 1, mask)
 
 
 def alexander_from_seifert(V: SeifertMatrix) -> LaurentPoly:

@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from knotrank import cli
 from knotrank.characters import (
     CertifiedWitness,
     IndependenceCertificate,
     build_certificate,
     certify,
+    verify_certificate,
 )
 from knotrank.laurent import LaurentPoly
 from knotrank.pretzel import WitnessKnot, hfk_top_rank
@@ -64,6 +66,54 @@ def test_certified_witness_round_trip(index):
 def test_certificate_round_trip(count):
     cert = build_certificate(count, 10_000)
     assert IndependenceCertificate.from_json(through_text(cert.to_json())) == cert
+
+
+def test_read_count_300_envelope_is_the_built_record(capsys):
+    # A square matrix of ints is read into the cell view a built record
+    # holds: the same record, hash and repr, and it verifies.
+    assert cli.main(["certificate", "--count", "300", "--json"]) == 0
+    read = IndependenceCertificate.from_json(json.loads(capsys.readouterr().out)["result"])
+    built = build_certificate(300, 10_000)
+    assert read == built and hash(read) == hash(built) and repr(read) == repr(built)
+    assert type(read.evaluation) is type(built.evaluation)
+    assert verify_certificate(read)
+
+
+@pytest.mark.parametrize(
+    "change, reason",
+    [
+        (lambda m: m[1].pop(), "witness, prime, and matrix dimensions disagree"),
+        (lambda m: m.append([0, 0, 0]), "witness, prime, and matrix dimensions disagree"),
+        (lambda m: m[2].__setitem__(0, 10**30), "triangularity violated at evaluation[2][0]"),
+    ],
+)
+def test_read_matrix_of_any_shape_keeps_its_verdict(change, reason):
+    # A ragged or non-square matrix stays a dense tuple of tuples, so the
+    # verifier still names its dimensions.
+    data = through_text(build_certificate(3, 100).to_json())
+    change(data["matrix"])
+    cert = IndependenceCertificate.from_json(data)
+    assert cert.evaluation == tuple(tuple(row) for row in data["matrix"])
+    assert hash(cert.evaluation) == hash(tuple(tuple(row) for row in data["matrix"]))
+    assert verify_certificate(cert).reason == reason
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ([1, True, 0], "a matrix entry must be an integer, got True"),
+        ([1, 0.0, 0], "a matrix entry must be an integer, got 0.0"),
+        (5, "'int' object is not iterable"),
+        ({"a": 1}, "a matrix entry must be an integer, got 'a'"),
+        ("12", "a matrix entry must be an integer, got '1'"),
+    ],
+)
+def test_read_matrix_names_the_first_bad_entry(row, message):
+    data = through_text(build_certificate(3, 100).to_json())
+    data["matrix"][1] = row
+    with pytest.raises(ValueError) as info:
+        IndependenceCertificate.from_json(data)
+    assert str(info.value) == f"malformed certificate JSON: {message}"
 
 
 def test_certificate_rejects_coerced_integers():

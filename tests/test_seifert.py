@@ -13,6 +13,7 @@ from knotrank.pretzel import PretzelKnot, alexander_closed_form
 from knotrank.seifert import (
     SeifertMatrix,
     _alexander_mod,
+    _charpoly_mod,
     _coefficient_bound,
     alexander_from_seifert,
     det_int,
@@ -21,6 +22,7 @@ from knotrank.seifert import (
     pretzel_seifert_matrix,
     rank_int,
 )
+from list_kernel import list_alexander_mod, list_charpoly_mod
 from oracles import d_det, d_trim, det_mod, fraction_rank
 
 TREFOIL = SeifertMatrix.from_rows([[1, 1], [0, 1]])
@@ -398,7 +400,7 @@ def dense_knot_matrix(genus):
     """A seeded knot matrix U V U^T whose skew part is dense, U unimodular.
 
     ``random_knot_matrix`` has V - V^T equal to the standard symplectic
-    form, so Gauss-Jordan has one nonzero per column.  U is a product of
+    form, so the elimination has one nonzero per column.  U is a product of
     elementary matrices, so det(V - V^T) stays 1 and V - V^T fills in.
     """
     rng = random.Random(1000 + genus)
@@ -465,7 +467,7 @@ def ci_dense_matrix(genus, corner=1):
 
 
 def test_alexander_from_seifert_dense_genus_forty_budget():
-    # The dense Gauss-Jordan path, which the benchmark's matrices never take,
+    # The dense elimination path, which the benchmark's matrices never take,
     # for a knot and for a non-knot whose det(V - V^T) = 4 is even
     knot, non_knot = ci_dense_matrix(40), ci_dense_matrix(40, corner=2)
     skew = [[knot[i][j] - knot[j][i] for j in range(80)] for i in range(80)]
@@ -511,11 +513,100 @@ def test_alexander_mod_any_modulus_raises_or_is_right():
 
 
 def test_alexander_mod_raises_when_skew_part_is_singular_mod_p():
-    # det(V - V^T) = 4 is even: some Gauss-Jordan column has no odd pivot
+    # det(V - V^T) = 4 is even: some elimination column has no odd pivot
     rows = [[0, 2, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]]
     for modulus in (2, 2**64):
         with pytest.raises(NotUnitAtOne):
             _alexander_mod(rows, modulus)
+
+
+def kernel_result(kernel, *args):
+    """A kernel's residues, or None where it raises NotUnitAtOne."""
+    try:
+        return kernel(*args)
+    except NotUnitAtOne:
+        return None
+
+
+@st.composite
+def kernel_inputs(draw):
+    """A matrix of size 4 to 24 and a modulus 2^1 to 2^16, or the real 2^k.
+
+    "knot" is V0 + 2^j * X, X symmetric, moved by congruences with
+    multipliers +-1 and +-2: a dense skew part, row swaps and even
+    Hessenberg pivots.  "any" has entries in [-3, 3], and mostly an even
+    det(V - V^T).  "wide" has entries up to 2^20 in size, so that most
+    residues below 2^16 are large.
+    """
+    size = 2 * draw(st.integers(2, 12))
+    kind = draw(st.sampled_from(("knot", "any", "wide")))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    if kind == "knot":
+        j = draw(st.integers(0, 8))
+        upper = [rng.randint(-3, 3) << j for _ in range(size * (size + 1) // 2)]
+        rows = symplectic_plus_symmetric(size // 2, upper)
+        for _ in range(draw(st.integers(0, 2 * size))):
+            a, b = rng.sample(range(size), 2)
+            elementary_congruence(rows, a, b, rng.choice((-2, -1, 1, 2)))
+    else:
+        entry = 3 if kind == "any" else 2**20
+        rows = [[rng.randint(-entry, entry) for _ in range(size)] for _ in range(size)]
+    bits = draw(st.integers(0, 16))
+    modulus = 1 << bits if bits else 1 << (2 * _coefficient_bound(rows)).bit_length()
+    return rows, modulus
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(kernel_inputs())
+@example(([[-1] * 4] * 4, 2**16))  # every residue p - 1, and det(V - V^T) = 0
+@example((symplectic_plus_symmetric(2, [-1] * 10), 2**16))
+@example((symplectic_plus_symmetric(12, [2**16 - 1] * 300), 2**16))
+def test_packed_kernel_returns_the_list_kernels_residues(case):
+    # The same ring arithmetic on packed ints: the same residues, or
+    # NotUnitAtOne exactly where the list kernel raises it.
+    rows, modulus = case
+    assert kernel_result(_alexander_mod, rows, modulus) == kernel_result(
+        list_alexander_mod, rows, modulus
+    )
+
+
+@st.composite
+def charpoly_inputs(draw):
+    """A matrix N of size 1 to 24 and a modulus 2^1 to 2^16, 2^64 or 2^200.
+
+    Entries are residues, residues times 2^j with j drawn per column (even
+    Hessenberg pivots), p - 1 (the largest slot value), or unreduced
+    integers of either sign; some columns are 0.
+    """
+    n = draw(st.integers(1, 24))
+    bits = draw(st.sampled_from([*range(1, 17), 64, 200]))
+    p = 1 << bits
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    kind = draw(st.sampled_from(("residues", "even", "top", "unreduced")))
+    shifts = [rng.randint(0, bits) for _ in range(n)]
+    draw_entry = {
+        "residues": lambda c: rng.randrange(p),
+        "even": lambda c: rng.randrange(p) << shifts[c],
+        "top": lambda c: p - 1 if rng.random() < 0.8 else rng.randrange(p),
+        "unreduced": lambda c: rng.randint(-(p**2), p**2),
+    }[kind]
+    zero_share = draw(st.sampled_from((0.0, 0.3)))
+    zero = {c for c in range(n) if rng.random() < zero_share}
+    rows = [[0 if c in zero else draw_entry(c) for c in range(n)] for _ in range(n)]
+    return rows, p
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(charpoly_inputs())
+@example(([[2**16 - 1] * 24] * 24, 2**16))  # every residue p - 1
+@example(([[2**200 - 1] * 24] * 24, 2**200))
+@example(([[1] * 5] * 5, 2))
+@example(([[0, 1, 2, 3], [2, 5, 0, 1], [1, 3, 3, 0], [4, 1, 1, 2]], 2**8))  # a row swap
+@example(([[4 * (i + j) for j in range(6)] for i in range(6)], 2**8))  # even pivots
+@example(([[0, 1, 1], [0, 1, 1], [0, 3, 1]], 2**4))  # a zero column
+def test_packed_charpoly_returns_the_list_residues(case):
+    rows, p = case
+    assert _charpoly_mod([list(row) for row in rows], p) == list_charpoly_mod(rows, p)
 
 
 def test_alexander_from_seifert_modulus_is_the_least_power_of_two_above_2b(monkeypatch):
@@ -540,17 +631,19 @@ def test_alexander_from_seifert_takes_even_hessenberg_pivots(monkeypatch):
     # V = V0 + 2^j * X, X symmetric, keeps S = V - V^T the standard
     # symplectic form, and N = -S^-1 * V^T is diagonal modulo 2^j: the
     # Hessenberg reduction meets columns with no odd entry.  Congruences
-    # with even multipliers mix in further powers of two.
-    lows = []
+    # with even multipliers mix in further powers of two.  For a knot the
+    # elimination asks for one pivot per column, all odd; the Hessenberg
+    # reduction's come after them.
+    pivots = []
     real = seifert._pivot
 
-    def record(rows, col, start, mask):
-        r, pivot = real(rows, col, start, mask)
-        if start == col + 1:  # a Hessenberg column, not a Gauss-Jordan one
-            lows.append(pivot & -pivot)
-        return r, pivot
+    def record(column, mask):
+        i, pivot = real(column, mask)
+        pivots.append(pivot)
+        return i, pivot
 
     monkeypatch.setattr(seifert, "_pivot", record)
+    lows = []
     rng = random.Random(2)
     for _ in range(40):
         genus = rng.randint(2, 3)
@@ -561,8 +654,11 @@ def test_alexander_from_seifert_takes_even_hessenberg_pivots(monkeypatch):
         for _ in range(rng.randint(0, 3)):
             a, b = rng.sample(range(size), 2)
             elementary_congruence(rows, a, b, rng.choice((-2, -1, 1, 2)))
+        pivots.clear()
         poly = alexander_from_seifert(SeifertMatrix.from_rows(rows))
         assert list(poly.coeffs) == normalized(cofactor_seifert_det(rows))
+        assert len(pivots) >= size and all(pivot & 1 for pivot in pivots[:size])
+        lows += [pivot & -pivot for pivot in pivots[size:]]
     assert sum(low > 1 for low in lows) >= 10
 
 
@@ -626,7 +722,7 @@ def block_sum(*blocks):
 
 def test_alexander_from_seifert_needs_no_bareiss_determinant(monkeypatch):
     # A knot, or an odd det(V - V^T), reads det(V - V^T) off the exact
-    # coefficients.  Only an even one stops Gauss-Jordan before any
+    # coefficients.  Only an even one stops the elimination before any
     # coefficient, and takes the value for its message from det_int.
     calls = []
     real_det, real_eliminate = seifert.det_int, seifert._eliminate
