@@ -9,17 +9,23 @@ copying through the constructor.  All of these read the one field tuple
 ``_values``; nothing is generated, and no class changes after import.
 It imports nothing, where ``dataclasses`` pulls in ``inspect``, ``ast``
 and ``dis``.  ``json_int`` is the one reader of an integer field in a
-record's ``from_json``.
+record's ``from_json``, and ``is_int`` its rule, which the certificate
+verifier applies to a record built by hand.
 """
 
 
+def is_int(value: object) -> bool:
+    """Whether ``value`` is an integer: an ``int`` that is not a ``bool``."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def json_int(value: object, what: str) -> int:
-    """``value`` if it is an integer; JSON true, false, reals and strings are not.
+    """``value`` if it is an integer (``is_int``); JSON true, false, reals and strings are not.
 
     The message shows ``value`` cut short, so that a long list or string
     read from a file gives one short error line.
     """
-    if not isinstance(value, int) or isinstance(value, bool):
+    if not is_int(value):
         import reprlib
 
         raise ValueError(f"{what} must be an integer, got {reprlib.repr(value)}")

@@ -9,12 +9,12 @@ those characters triangular with nonzero diagonal, hence of full rank.
 
 from __future__ import annotations
 
-from itertools import compress
+from itertools import compress, starmap
 from math import isqrt
 from typing import Iterator, Optional
 
 from . import numtheory, pretzel
-from ._frozen import Frozen, json_int
+from ._frozen import Frozen, is_int, json_int
 from .numtheory import NotPrime, PrimePower
 from .pretzel import WitnessKnot
 
@@ -110,17 +110,18 @@ class IndependenceCertificate(Frozen):
     """Witnesses, their strictly increasing max primes, and the evaluation matrix.
 
     ``evaluation[i][j]`` is the exponent of ``selected_primes[i]`` in the
-    rank of ``witnesses[j]``.  Any tuple of tuples may be passed;
-    ``build_certificate`` passes a read-only view over the matrix's
-    nonzero cells, which compares, hashes and prints as that tuple of
-    tuples.  Nothing is validated at construction; ``verify_certificate``
-    is the trust boundary.
+    rank of ``witnesses[j]``.  Any sequence of rows may be passed; it is
+    held as its ``_EvaluationView``, the read-only view over its nonzero
+    cells, which indexes, compares, hashes and prints as the tuple of
+    its row tuples.  A view is kept as it is, and any other matrix is
+    read once, here.  Nothing is validated at construction;
+    ``verify_certificate`` is the trust boundary.
     """
 
     __slots__ = ("witnesses", "selected_primes", "evaluation")
     witnesses: tuple[CertifiedWitness, ...]
     selected_primes: tuple[int, ...]
-    evaluation: tuple[tuple[int, ...], ...]
+    evaluation: _EvaluationView
 
     def __init__(
         self,
@@ -130,7 +131,7 @@ class IndependenceCertificate(Frozen):
     ) -> None:
         object.__setattr__(self, "witnesses", witnesses)
         object.__setattr__(self, "selected_primes", selected_primes)
-        object.__setattr__(self, "evaluation", evaluation)
+        object.__setattr__(self, "evaluation", _EvaluationView.of(evaluation))
 
     def to_json(self) -> dict:
         return {
@@ -143,32 +144,22 @@ class IndependenceCertificate(Frozen):
     def from_json(cls, data: dict) -> "IndependenceCertificate":
         """The record that ``data`` describes.
 
-        A k x k matrix of ints is read into the view of its nonzero cells
-        that a built record holds, by C-level scans of each row (a ``set``
-        of the entries' types, then a ``compress``).  A row with any other
-        entry is checked entry by entry with ``json_int``, and any other
-        shape stays a dense tuple of tuples, which ``verify_certificate``
-        rejects for its dimensions.  Both compare, hash and print alike.
+        The matrix is read once, into the view of its cells that every
+        record holds (``_EvaluationView.of``), and each cell is checked
+        with ``json_int``: every entry but the int 0 is a cell, so no
+        entry goes unchecked.  A matrix of any shape is read;
+        ``verify_certificate`` rejects one whose dimensions disagree.
         """
         try:
             witnesses = tuple(CertifiedWitness.from_json(w) for w in data["witnesses"])
             primes = tuple(json_int(p, "a prime") for p in data["primes"])
-            rows = []
-            exact = True
-            for row in data["matrix"]:
-                row = tuple(row)
-                if not set(map(type, row)) <= {int}:
-                    exact = False
-                    for v in row:
-                        json_int(v, "a matrix entry")
-                rows.append(row)
+            evaluation = _EvaluationView.of(data["matrix"])
+            for _, cells in evaluation.rows:
+                for _, v in cells:
+                    json_int(v, "a matrix entry")
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed certificate JSON: {exc}") from exc
-        k = len(rows)
-        if exact and all(len(row) == k for row in rows):
-            cells = [[(j, row[j]) for j in compress(range(k), row)] for row in rows]
-            return cls(witnesses, primes, _EvaluationView(cells))
-        return cls(witnesses, primes, tuple(rows))
+        return cls(witnesses, primes, evaluation)
 
     def to_csv(self) -> str:
         """Evaluation matrix as CSV: rows are primes, columns are witnesses."""
@@ -209,41 +200,53 @@ def _prime_cells(witnesses, primes) -> list[list[tuple[int, int]]]:
 
 
 def _csv_lines(cert: IndependenceCertificate) -> Iterator[str]:
-    """The lines of ``cert.to_csv()``, each ending in a newline, one row at a time."""
+    """The lines of ``cert.to_csv()``, each ending in a newline, one row at a time.
+
+    A row's comma goes by its width, not its text: a row of one empty
+    string has a comma and no text.
+    """
     header = ["prime"] + [f"witness_{cw.witness.index}" for cw in cert.witnesses]
     yield ",".join(header) + "\n"
-    for p, text in zip(cert.selected_primes, _joined_rows(cert.evaluation, ",", str)):
-        yield f"{p},{text}\n" if text else f"{p}\n"
+    view = cert.evaluation
+    for p, (k, _), text in zip(cert.selected_primes, view.rows, _joined_rows(view, ",", str)):
+        yield f"{p},{text}\n" if k else f"{p}\n"
 
 
 class _EvaluationView(Frozen):
-    """A read-only k x k evaluation matrix, stored as its nonzero cells.
+    """A read-only evaluation matrix, stored as the nonzero cells of its rows.
 
-    ``cells[i]`` holds the cells ``(j, e)`` of row i, j ascending and
-    below k = ``len(cells)``; every other entry is the int 0.  The view
-    stands for the tuple of k row tuples: it indexes, iterates, compares
-    equal, hashes and prints as that tuple does, and builds a dense row
-    only when one is asked for.  It pickles as its cells.
+    ``rows[i]`` is ``(width, cells)``: row i has ``width`` entries, its
+    cells ``(j, v)``, j ascending and below ``width``, and the int 0 at
+    every other position.  A cell is any entry but the int 0, so a
+    ``False``, ``0.0`` or ``None`` is one.  The view stands for the tuple
+    of its row tuples: it indexes, iterates, compares equal, hashes and
+    prints as that tuple does, and builds a dense row only when one is
+    asked for.  It pickles as its rows.
     """
 
-    __slots__ = ("cells",)
-    cells: list[list[tuple[int, int]]]
+    __slots__ = ("rows",)
+    rows: list[tuple[int, list[tuple[int, object]]]]
 
-    def __init__(self, cells: list[list[tuple[int, int]]]) -> None:
-        object.__setattr__(self, "cells", cells)
+    def __init__(self, rows: list[tuple[int, list[tuple[int, object]]]]) -> None:
+        object.__setattr__(self, "rows", rows)
+
+    @classmethod
+    def of(cls, matrix) -> "_EvaluationView":
+        """``matrix`` if it is a view, else the view of its rows, read once by ``_dense_cells``."""
+        if type(matrix) is cls:
+            return matrix
+        return cls([_dense_cells(row) for row in matrix])
 
     def __len__(self) -> int:
-        return len(self.cells)
+        return len(self.rows)
 
     def __getitem__(self, index):
-        k = len(self.cells)
         if isinstance(index, slice):
-            return tuple(_dense_row(k, cells) for cells in self.cells[index])
-        return _dense_row(k, self.cells[index])
+            return tuple(starmap(_dense_row, self.rows[index]))
+        return _dense_row(*self.rows[index])
 
     def __iter__(self) -> Iterator[tuple]:
-        k = len(self.cells)
-        return (_dense_row(k, cells) for cells in self.cells)
+        return starmap(_dense_row, self.rows)
 
     def __eq__(self, other):
         if not isinstance(other, (tuple, _EvaluationView)):
@@ -265,45 +268,36 @@ def _dense_row(k: int, cells) -> tuple:
     return tuple(row)
 
 
-def _dense_cells(row) -> list[tuple[int, object]]:
-    """The cells ``(j, v)`` of a dense row: each entry but the int 0, j ascending.
+def _dense_cells(row) -> tuple[int, list[tuple[int, object]]]:
+    """``(width, cells)`` of a dense row: its length and its cells, j ascending.
 
-    In a row of ints these are its truthy entries, found by C-level
-    scans, a ``set`` of the entries' types and a ``compress``.  Any
-    other row is read entry by entry: there a ``False``, ``0.0`` or
-    ``None`` is a cell too, and only the checks on its value decide.
+    The cells ``(j, v)`` are its entries other than the int 0.  In a row
+    of ints these are its truthy entries, found by C-level scans, a
+    ``set`` of the entries' types and a ``compress``.  Any other row is
+    read entry by entry: there a ``False``, ``0.0`` or ``None`` is a
+    cell too, and only the checks on its value decide.  The entries are
+    read before the length, so a row that is not iterable fails as such.
     """
     if set(map(type, row)) <= {int}:
-        return [(j, row[j]) for j in compress(range(len(row)), row)]
-    return [(j, v) for j, v in enumerate(row) if type(v) is not int or v]
+        cells = [(j, row[j]) for j in compress(range(len(row)), row)]
+    else:
+        cells = [(j, v) for j, v in enumerate(row) if type(v) is not int or v]
+    return len(row), cells
 
 
-def _row_cells(matrix) -> Iterator[tuple[int, list]]:
-    """Yield ``(width, cells)`` for each row of an evaluation matrix.
-
-    The cells of a row are its entries other than the int 0, as pairs
-    ``(j, v)``, j ascending: a view's are read as they are, a dense
-    row's come from ``_dense_cells``.
-    """
-    if type(matrix) is _EvaluationView:
-        k = len(matrix.cells)
-        return ((k, cells) for cells in matrix.cells)
-    return ((len(row), _dense_cells(row)) for row in matrix)
-
-
-def _joined_rows(matrix, sep: str, fmt) -> Iterator[str]:
-    """Yield ``sep.join(map(fmt, row))`` for each row of ``matrix``; ``sep`` is ASCII.
+def _joined_rows(view: _EvaluationView, sep: str, fmt) -> Iterator[str]:
+    """Yield ``sep.join(map(fmt, row))`` for each row of ``view``; ``sep`` is ASCII.
 
     The text of an evaluation matrix: ``fmt`` is ``str`` for CSV and the
     JSON encoder for the envelope, and both write an int in 0..9 as its
-    digit.  A row whose every cell (``_row_cells``) is such an int is
+    digit.  A row whose every cell (``view.rows``) is such an int is
     written from its cells into a copy of a template of zeros and
     separators, made once per row length: one Python step per cell,
     none per zero.  Any other row goes through ``fmt`` entry by entry.
     """
     step = len(sep) + 1
     width = None
-    for k, cells in _row_cells(matrix):
+    for k, cells in view.rows:
         if k != width:
             width = k
             zeros = sep.join("0" * k).encode()
@@ -445,8 +439,8 @@ def build_certificate(count: int, search_limit: int) -> IndependenceCertificate:
             f"found only {len(kept)} of {count} witnesses with indices <= {search_limit}"
         )
     primes = tuple(cw.max_prime for cw in kept)
-    cells = _EvaluationView(_prime_cells(kept, primes))
-    return IndependenceCertificate(tuple(kept), primes, cells)
+    rows = [(count, cells) for cells in _prime_cells(kept, primes)]
+    return IndependenceCertificate(tuple(kept), primes, _EvaluationView(rows))
 
 
 def verify_certificate(cert: IndependenceCertificate) -> VerificationResult:
@@ -460,14 +454,20 @@ def verify_certificate(cert: IndependenceCertificate) -> VerificationResult:
     which is not 0, so the shape alone proves full rank over the
     rationals and no rank computation is needed.
 
-    The cost is linear in the input.  Each matrix row is read as its
-    cells (``_row_cells``): a built certificate's are stored, a dense
-    row's are found by C-level scans.  The shape takes one Python step
-    per cell up to the diagonal, and the entries one comparison of the
-    row's cells with the cells the factorizations give, plus one step
-    per factor of a selected prime: no dense row is built.  Each
-    distinct prime, selected or factor, gets one Miller-Rabin test; a
-    factor already proven in this call is not tested again.
+    Every selected prime, stored rank, max prime, factor and exponent
+    must be an integer (``is_int``: an int, not a bool); each is checked
+    before any comparison or arithmetic on it, so a record built by hand
+    with a float, a string or ``None`` there is refused with a reason
+    that names its position.
+
+    The cost is linear in the input.  Each matrix row is read as the
+    cells that every record holds (``evaluation.rows``), so the shape
+    takes one Python step per cell up to the diagonal, and the entries
+    one comparison of the row's cells with the cells the factorizations
+    give, plus one step per factor of a selected prime: no dense row is
+    built.  Each distinct prime, selected or factor, gets one
+    Miller-Rabin test; a factor already proven in this call is not
+    tested again.
     """
 
     def fail(reason: str) -> VerificationResult:
@@ -478,9 +478,13 @@ def verify_certificate(cert: IndependenceCertificate) -> VerificationResult:
     k = len(ws)
     if k == 0:
         return fail("certificate is empty")
-    rows = list(_row_cells(cert.evaluation))
+    rows = cert.evaluation.rows
     if len(primes) != k or len(rows) != k or any(width != k for width, _ in rows):
         return fail("witness, prime, and matrix dimensions disagree")
+    # each ``type(...) is not int`` spares an exact int the call of is_int
+    for i, p in enumerate(primes):
+        if type(p) is not int and not is_int(p):
+            return fail(f"selected value {p!r} at position {i} is not an integer")
     for i in range(1, k):
         if primes[i] <= primes[i - 1]:
             return fail(f"selected primes are not strictly increasing at position {i}")
@@ -508,11 +512,19 @@ def verify_certificate(cert: IndependenceCertificate) -> VerificationResult:
             return fail(f"selected value {p} at position {i} is not prime")
         proven.add(p)
     for j, cw in enumerate(ws):
+        if type(cw.rank) is not int and not is_int(cw.rank):
+            return fail(f"witness {j}: stored rank {cw.rank!r} is not an integer")
+        if type(cw.max_prime) is not int and not is_int(cw.max_prime):
+            return fail(f"witness {j}: stored max prime {cw.max_prime!r} is not an integer")
         if cw.rank != pretzel.hfk_top_rank(cw.witness):
             return fail(f"witness {j}: stored rank {cw.rank} does not match its knot")
         product = 1
         previous = 1
         for p, e in cw.factorization:
+            if type(p) is not int and not is_int(p):
+                return fail(f"witness {j}: factor {p!r} is not an integer")
+            if type(e) is not int and not is_int(e):
+                return fail(f"witness {j}: exponent {e!r} of {p} is not an integer")
             if e < 1:
                 return fail(f"witness {j}: exponent of {p} is not positive")
             if e > cw.rank.bit_length():

@@ -584,6 +584,39 @@ def test_verify_rejects_a_tampered_factorization_of_a_rank(factors, max_prime, r
     assert result.reason == reason
 
 
+@pytest.mark.parametrize(
+    "position, field, value, reason",
+    [
+        (0, "prime", 5.0, "selected value 5.0 at position 0 is not an integer"),
+        (2, "prime", None, "selected value None at position 2 is not an integer"),
+        (0, "rank", 5.0, "witness 0: stored rank 5.0 is not an integer"),
+        (2, "max_prime", 41.0, "witness 2: stored max prime 41.0 is not an integer"),
+        (0, "factorization", ((5, None),), "witness 0: exponent None of 5 is not an integer"),
+        (0, "factorization", (("5", 1),), "witness 0: factor '5' is not an integer"),
+        (0, "factorization", ((5.0, 1),), "witness 0: factor 5.0 is not an integer"),
+        (0, "factorization", ((5, 1.0),), "witness 0: exponent 1.0 of 5 is not an integer"),
+        (0, "factorization", ((5, True),), "witness 0: exponent True of 5 is not an integer"),
+    ],
+)
+def test_verify_refuses_a_number_that_is_not_an_integer_by_its_position(
+    position, field, value, reason
+):
+    # json_int's rule, for a record built by hand: the float factor, the
+    # float and bool exponents and the float max prime each verified, and
+    # every other value here raised inside the verifier
+    cert = build_certificate(3, 100)
+    assert cert.selected_primes == (5, 13, 41) and verify_certificate(cert)
+    primes, ws = list(cert.selected_primes), list(cert.witnesses)
+    if field == "prime":
+        primes[position] = value
+    else:
+        cw = ws[position]
+        fields = {"rank": cw.rank, "factorization": cw.factorization, "max_prime": cw.max_prime}
+        ws[position] = CertifiedWitness(cw.witness, **{**fields, field: value})
+    tampered = IndependenceCertificate(tuple(ws), tuple(primes), cert.evaluation)
+    assert verify_certificate(tampered) == VerificationResult(False, reason)
+
+
 TWELVE = build_certificate(12, 10_000)
 TAMPER = settings(max_examples=300, deadline=None, derandomize=True)
 
@@ -715,31 +748,25 @@ def test_verify_refuses_none_where_a_zero_or_an_exponent_belongs(i, j):
 
 
 def test_built_certificate_stores_the_cells_of_its_matrix():
-    cells = TWELVE.evaluation.cells
+    rows = TWELVE.evaluation.rows
+    k = len(TWELVE.witnesses)
     assert type(TWELVE.evaluation) is characters._EvaluationView
-    assert cells == characters._prime_cells(TWELVE.witnesses, TWELVE.selected_primes)
+    cells = characters._prime_cells(TWELVE.witnesses, TWELVE.selected_primes)
+    assert rows == [(k, row) for row in cells]
     assert TWELVE.evaluation == tuple(
         tuple(dict(cw.factorization).get(p, 0) for cw in TWELVE.witnesses)
         for p in TWELVE.selected_primes
     )
 
 
-def view_of(cert):
-    """``cert`` with its matrix as the view over its cells that a built record holds."""
-    cells = characters._prime_cells(cert.witnesses, cert.selected_primes)
-    return IndependenceCertificate(
-        cert.witnesses, cert.selected_primes, characters._EvaluationView(cells)
-    )
-
-
 @TAMPER
 @given(st.sampled_from(["greedy", "dense"]), st.data())
 def test_verify_gives_a_tampered_view_the_reason_of_the_same_tampered_tuple(which, data):
-    # the same change, made once to a built record's cells and once to the
-    # dense matrix it stands for, is refused for the same reason
-    cert = TWELVE if which == "greedy" else view_of(DENSE)
+    # the same change, made once to a record's cells and once to the dense
+    # matrix they stand for, is refused for the same reason
+    cert = TWELVE if which == "greedy" else DENSE
     k = len(cert.selected_primes)
-    cells = [list(row) for row in cert.evaluation.cells]
+    cells = [list(row) for _, row in cert.evaluation.rows]
     matrix = [list(row) for row in cert.evaluation]
     i = data.draw(st.integers(0, k - 1), label="row")
     kind = data.draw(
@@ -762,7 +789,7 @@ def test_verify_gives_a_tampered_view_the_reason_of_the_same_tampered_tuple(whic
         v = data.draw(st.integers(1, 50), label="entry")
         cells[i] = sorted(cells[i] + [(j, v)])
         matrix[i][j] = v
-    view = characters._EvaluationView(cells)
+    view = characters._EvaluationView([(k, row) for row in cells])
     dense = tuple(map(tuple, matrix))
     assert view == dense
     ws, primes = cert.witnesses, cert.selected_primes

@@ -1,7 +1,9 @@
+import copy
 import hashlib
 import io
 import json
 import os
+import pickle
 import subprocess
 import sys
 import tempfile
@@ -461,9 +463,14 @@ def test_certificate_failing_verification_exits_one(capsys, monkeypatch):
     assert err == "error: selected value 15 at position 1 is not prime\n"
 
 
-def certificate_envelope(cert, verified: bool) -> str:
-    """The ``certificate --json`` output, from ``to_json`` and ``json.dumps``."""
+def certificate_envelope(cert, verified: bool, matrix=None) -> str:
+    """The ``certificate --json`` output, from ``to_json`` and ``json.dumps``.
+
+    ``matrix``, a list of rows, stands in for the record's own, if given.
+    """
     result = {**cert.to_json(), "verified": verified}
+    if matrix is not None:
+        result["matrix"] = [list(row) for row in matrix]
     envelope = {"schema_version": "1", "command": "certificate", "result": result}
     return json.dumps(envelope, sort_keys=True, indent=2) + "\n"
 
@@ -514,13 +521,63 @@ def test_certificate_writer_matches_json_dumps_on_hand_built_records(name):
     assert "".join(cli._certificate_json(cert, verified)) == certificate_envelope(cert, verified)
 
 
+def certificate_csv(cert, matrix) -> str:
+    """``cert.to_csv()`` with ``matrix`` for its matrix, from ``str.join`` alone."""
+    header = ["prime"] + [f"witness_{cw.witness.index}" for cw in cert.witnesses]
+    rows = [[p, *row] for p, row in zip(cert.selected_primes, matrix)]
+    lines = [",".join(header)] + [",".join(map(str, row)) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 @pytest.mark.parametrize("name", sorted(hand_built_certificates()))
 def test_certificate_csv_matches_str_join_on_hand_built_records(name):
     cert, _ = hand_built_certificates()[name]
-    header = ["prime"] + [f"witness_{cw.witness.index}" for cw in cert.witnesses]
-    rows = [[p, *row] for p, row in zip(cert.selected_primes, cert.evaluation)]
-    lines = [",".join(header)] + [",".join(map(str, row)) for row in rows]
-    assert cert.to_csv() == "\n".join(lines) + "\n"
+    assert cert.to_csv() == certificate_csv(cert, cert.evaluation)
+
+
+# every kind of entry a hand-built or malformed matrix can hold: the int 0,
+# digits, longer and negative ints, and the values that are no int 0 but
+# are falsy or equal to it
+ENTRIES = st.one_of(
+    st.just(0),
+    st.integers(1, 9),
+    st.integers(min_value=10),
+    st.integers(max_value=-1),
+    st.none(),
+    st.booleans(),
+    st.sampled_from([0.0, -0.0, float("nan")]),
+    st.text(max_size=3),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.lists(ENTRIES, max_size=12), max_size=12), st.booleans())
+@example([], True)
+@example([[], [0, 0.0, -0.0, False, None, ""]], False)
+@example([[""]], False)  # one empty string: a CSV row of a comma and no text
+def test_any_matrix_is_held_as_its_cells_and_written_as_its_rows(m, verified):
+    real = characters.build_certificate(2, 10)
+    primes = tuple(range(5, 5 + len(m)))
+    cert = characters.IndependenceCertificate(real.witnesses, primes, m)
+    view, dense = cert.evaluation, tuple(map(tuple, m))
+    assert type(view) is characters._EvaluationView
+    assert view == dense and dense == view and not view != dense
+    assert hash(view) == hash(dense) and repr(view) == repr(dense)
+    assert view.rows == [
+        (len(r), [(j, v) for j, v in enumerate(r) if type(v) is not int or v]) for r in m
+    ]
+    # an unpickled NaN is another object, so equal to nothing, itself included
+    has_nan = any(type(v) is float and v != v for r in m for v in r)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(cert, protocol))
+        assert type(back.evaluation) is characters._EvaluationView
+        assert repr(back) == repr(cert) and repr(back.evaluation.rows) == repr(view.rows)
+        assert has_nan or (back == cert and hash(back) == hash(cert))
+    for clone in (copy.copy(cert), copy.deepcopy(cert)):
+        assert clone == cert and hash(clone) == hash(cert) and repr(clone) == repr(cert)
+    assert cert.to_csv() == certificate_csv(cert, m)
+    envelope = certificate_envelope(cert, verified, m)
+    assert "".join(cli._certificate_json(cert, verified)) == envelope
 
 
 @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])

@@ -88,8 +88,8 @@ def test_read_count_300_envelope_is_the_built_record(capsys):
     ],
 )
 def test_read_matrix_of_any_shape_keeps_its_verdict(change, reason):
-    # A ragged or non-square matrix stays a dense tuple of tuples, so the
-    # verifier still names its dimensions.
+    # A ragged or non-square matrix is read into the view of its cells,
+    # which keeps each row's width, so the verifier still names its dimensions.
     data = through_text(build_certificate(3, 100).to_json())
     change(data["matrix"])
     cert = IndependenceCertificate.from_json(data)

@@ -113,11 +113,11 @@ def test_pickle_and_copy_round_trip(record, fields, text):
 def cell_backed_certificates():
     # rank 25 = 5^2 and rank 85 = 5 * 17: an exponent of two and an entry above the diagonal
     ws = (certify(witness(4)), certify(witness(7)))
-    cells = characters._prime_cells(ws, (5, 17))
+    rows = [(2, cells) for cells in characters._prime_cells(ws, (5, 17))]
     return {
         "built": build_certificate(6, 100),
         "entry above the diagonal": IndependenceCertificate(
-            ws, (5, 17), characters._EvaluationView(cells)
+            ws, (5, 17), characters._EvaluationView(rows)
         ),
     }
 
@@ -129,6 +129,9 @@ def test_a_cell_backed_certificate_is_the_record_of_its_dense_matrix(name):
     matrix = tuple(tuple(row) for row in view)
     dense = IndependenceCertificate(cert.witnesses, cert.selected_primes, matrix)
     assert type(view) is characters._EvaluationView and type(matrix) is tuple
+    # the dense matrix is read into the same cells
+    assert type(dense.evaluation) is characters._EvaluationView
+    assert dense.evaluation.rows == view.rows
     assert view == matrix and matrix == view and not view != matrix and not matrix != view
     assert cert == dense and dense == cert and not cert != dense
     assert hash(view) == hash(matrix) and hash(cert) == hash(dense)
@@ -151,7 +154,7 @@ def test_a_cell_backed_certificate_is_the_record_of_its_dense_matrix(name):
     changed = ((matrix[0][0] + 1, *matrix[0][1:]), *matrix[1:])
     assert view != changed and changed != view
     with pytest.raises(AttributeError):
-        view.cells = ()
+        view.rows = ()
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
