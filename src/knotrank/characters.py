@@ -114,8 +114,10 @@ class IndependenceCertificate(Frozen):
     held as its ``_EvaluationView``, the read-only view over its nonzero
     cells, which indexes, compares, hashes and prints as the tuple of
     its row tuples.  A view is kept as it is, and any other matrix is
-    read once, here.  Nothing is validated at construction;
-    ``verify_certificate`` is the trust boundary.
+    read once, here, where every entry must be an integer (``is_int``):
+    any other raises ``ValueError``, naming the first in reading order.
+    Nothing else is validated at construction; ``verify_certificate`` is
+    the trust boundary.
     """
 
     __slots__ = ("witnesses", "selected_primes", "evaluation")
@@ -145,18 +147,14 @@ class IndependenceCertificate(Frozen):
         """The record that ``data`` describes.
 
         The matrix is read once, into the view of its cells that every
-        record holds (``_EvaluationView.of``), and each cell is checked
-        with ``json_int``: every entry but the int 0 is a cell, so no
-        entry goes unchecked.  A matrix of any shape is read;
-        ``verify_certificate`` rejects one whose dimensions disagree.
+        record holds (``_EvaluationView.of``), which refuses an entry that
+        is not an integer as any record does.  A matrix of any shape is
+        read; ``verify_certificate`` rejects one whose dimensions disagree.
         """
         try:
             witnesses = tuple(CertifiedWitness.from_json(w) for w in data["witnesses"])
             primes = tuple(json_int(p, "a prime") for p in data["primes"])
             evaluation = _EvaluationView.of(data["matrix"])
-            for _, cells in evaluation.rows:
-                for _, v in cells:
-                    json_int(v, "a matrix entry")
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed certificate JSON: {exc}") from exc
         return cls(witnesses, primes, evaluation)
@@ -208,7 +206,7 @@ def _csv_lines(cert: IndependenceCertificate) -> Iterator[str]:
     header = ["prime"] + [f"witness_{cw.witness.index}" for cw in cert.witnesses]
     yield ",".join(header) + "\n"
     view = cert.evaluation
-    for p, (k, _), text in zip(cert.selected_primes, view.rows, _joined_rows(view, ",", str)):
+    for p, (k, _), text in zip(cert.selected_primes, view.rows, _joined_rows(view, ",")):
         yield f"{p},{text}\n" if k else f"{p}\n"
 
 
@@ -216,19 +214,20 @@ class _EvaluationView(Frozen):
     """A read-only evaluation matrix, stored as the nonzero cells of its rows.
 
     ``rows[i]`` is ``(width, cells)``: row i has ``width`` entries, its
-    cells ``(j, v)``, j ascending and below ``width``, and the int 0 at
-    every other position.  A cell is any entry but the int 0, so a
-    ``False``, ``0.0`` or ``None`` is one.  The view stands for the tuple
-    of its row tuples: it indexes, iterates, compares equal, hashes and
-    prints as that tuple does, and builds a dense row only when one is
-    asked for.  It pickles as its rows.
+    cells ``(j, v)``, j ascending and below ``width``, each v a nonzero
+    int, and 0 at every other position; ``rows`` and each row's cells
+    are tuples.  So a matrix has one view, and two views are equal when
+    their rows are.  The view stands for the tuple of its row tuples: it
+    indexes, iterates, compares equal, hashes and prints as that tuple
+    does, and builds a dense row only when one is asked for.  It pickles
+    as its rows.
     """
 
     __slots__ = ("rows",)
-    rows: list[tuple[int, list[tuple[int, object]]]]
+    rows: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
 
-    def __init__(self, rows: list[tuple[int, list[tuple[int, object]]]]) -> None:
-        object.__setattr__(self, "rows", rows)
+    def __init__(self, rows) -> None:
+        object.__setattr__(self, "rows", tuple((k, tuple(cells)) for k, cells in rows))
 
     @classmethod
     def of(cls, matrix) -> "_EvaluationView":
@@ -249,7 +248,9 @@ class _EvaluationView(Frozen):
         return starmap(_dense_row, self.rows)
 
     def __eq__(self, other):
-        if not isinstance(other, (tuple, _EvaluationView)):
+        if isinstance(other, _EvaluationView):
+            return self.rows == other.rows
+        if not isinstance(other, tuple):
             return NotImplemented
         return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
@@ -268,32 +269,31 @@ def _dense_row(k: int, cells) -> tuple:
     return tuple(row)
 
 
-def _dense_cells(row) -> tuple[int, list[tuple[int, object]]]:
+def _dense_cells(row) -> tuple[int, list[tuple[int, int]]]:
     """``(width, cells)`` of a dense row: its length and its cells, j ascending.
 
-    The cells ``(j, v)`` are its entries other than the int 0.  In a row
-    of ints these are its truthy entries, found by C-level scans, a
-    ``set`` of the entries' types and a ``compress``.  Any other row is
-    read entry by entry: there a ``False``, ``0.0`` or ``None`` is a
-    cell too, and only the checks on its value decide.  The entries are
-    read before the length, so a row that is not iterable fails as such.
+    Every entry must be an integer (``is_int``); the first that is not
+    raises ``json_int``'s ``ValueError``.  The cells ``(j, v)`` are the
+    nonzero entries, found by C-level scans: a ``set`` of the entries'
+    types, which only a row of exact ints passes unread, and a
+    ``compress``.  The entries are read before the length, so a row that
+    is not iterable fails as such.
     """
-    if set(map(type, row)) <= {int}:
-        cells = [(j, row[j]) for j in compress(range(len(row)), row)]
-    else:
-        cells = [(j, v) for j, v in enumerate(row) if type(v) is not int or v]
-    return len(row), cells
+    if not set(map(type, row)) <= {int}:
+        for v in row:
+            json_int(v, "a matrix entry")
+    return len(row), [(j, row[j]) for j in compress(range(len(row)), row)]
 
 
-def _joined_rows(view: _EvaluationView, sep: str, fmt) -> Iterator[str]:
-    """Yield ``sep.join(map(fmt, row))`` for each row of ``view``; ``sep`` is ASCII.
+def _joined_rows(view: _EvaluationView, sep: str) -> Iterator[str]:
+    """Yield ``sep.join(map(str, row))`` for each row of ``view``; ``sep`` is ASCII.
 
-    The text of an evaluation matrix: ``fmt`` is ``str`` for CSV and the
-    JSON encoder for the envelope, and both write an int in 0..9 as its
-    digit.  A row whose every cell (``view.rows``) is such an int is
-    written from its cells into a copy of a template of zeros and
-    separators, made once per row length: one Python step per cell,
-    none per zero.  Any other row goes through ``fmt`` entry by entry.
+    The text of an evaluation matrix, in CSV and in the JSON envelope,
+    where ``json.dumps`` writes an int as ``str`` does.  A row whose
+    every cell (``view.rows``) is in 0..9 is written from its cells into
+    a copy of a template of zeros and separators, made once per row
+    length: one Python step per cell, none per zero.  Any other row
+    goes through ``str`` entry by entry.
     """
     step = len(sep) + 1
     width = None
@@ -303,8 +303,8 @@ def _joined_rows(view: _EvaluationView, sep: str, fmt) -> Iterator[str]:
             zeros = sep.join("0" * k).encode()
         text = bytearray(zeros)
         for j, v in cells:
-            if type(v) is not int or not 0 <= v <= 9:
-                yield sep.join(map(fmt, _dense_row(k, cells)))
+            if not 0 <= v <= 9:
+                yield sep.join(map(str, _dense_row(k, cells)))
                 break
             text[j * step] = 48 + v  # the ASCII digit of v
         else:
@@ -455,19 +455,21 @@ def verify_certificate(cert: IndependenceCertificate) -> VerificationResult:
     rationals and no rank computation is needed.
 
     Every selected prime, stored rank, max prime, factor and exponent
-    must be an integer (``is_int``: an int, not a bool); each is checked
-    before any comparison or arithmetic on it, so a record built by hand
-    with a float, a string or ``None`` there is refused with a reason
-    that names its position.
+    must be an integer (``is_int``: an int, not a bool), each witness a
+    ``WitnessKnot`` and each factorization a tuple or list of pairs;
+    each is checked before it is used, so a record built by hand with a
+    float, a string or ``None`` there is refused with a reason that
+    names its position.  The matrix needs no such check: the record
+    holds only integer entries.
 
     The cost is linear in the input.  Each matrix row is read as the
-    cells that every record holds (``evaluation.rows``), so the shape
-    takes one Python step per cell up to the diagonal, and the entries
-    one comparison of the row's cells with the cells the factorizations
-    give, plus one step per factor of a selected prime: no dense row is
-    built.  Each distinct prime, selected or factor, gets one
-    Miller-Rabin test; a factor already proven in this call is not
-    tested again.
+    cells that every record holds (``evaluation.rows``), each a nonzero
+    int, so the shape takes one step per row, from its first cell, and
+    the entries one comparison of the row's cells with the cells the
+    factorizations give, plus one step per factor of a selected prime:
+    no dense row is built.  Each distinct prime, selected or factor,
+    gets one Miller-Rabin test; a factor already proven in this call is
+    not tested again.
     """
 
     def fail(reason: str) -> VerificationResult:
@@ -488,20 +490,12 @@ def verify_certificate(cert: IndependenceCertificate) -> VerificationResult:
     for i in range(1, k):
         if primes[i] <= primes[i - 1]:
             return fail(f"selected primes are not strictly increasing at position {i}")
+    # every cell is a nonzero int, so a row's first cell decides its shape
     for i, (_, cells) in enumerate(rows):
-        diagonal = 0
-        for j, v in cells:
-            if j >= i:
-                if j == i:
-                    diagonal = v
-                break
-            if v != 0:
-                return fail(f"triangularity violated at evaluation[{i}][{j}]")
-        try:
-            small = diagonal < 1
-        except TypeError:  # None, a string, a list: not a number at all
-            small = True
-        if small:
+        j, v = cells[0] if cells else (i, 0)
+        if j < i:
+            return fail(f"triangularity violated at evaluation[{i}][{j}]")
+        if j > i or v < 1:
             return fail(f"diagonal entry evaluation[{i}][{i}] is not positive")
     bound = numtheory.PRIMALITY_BOUND
     proven: set[int] = set()
@@ -516,11 +510,19 @@ def verify_certificate(cert: IndependenceCertificate) -> VerificationResult:
             return fail(f"witness {j}: stored rank {cw.rank!r} is not an integer")
         if type(cw.max_prime) is not int and not is_int(cw.max_prime):
             return fail(f"witness {j}: stored max prime {cw.max_prime!r} is not an integer")
+        if not isinstance(cw.witness, WitnessKnot):
+            return fail(f"witness {j}: {cw.witness!r} is not a witness knot")
         if cw.rank != pretzel.hfk_top_rank(cw.witness):
             return fail(f"witness {j}: stored rank {cw.rank} does not match its knot")
+        if not isinstance(cw.factorization, (tuple, list)):
+            return fail(f"witness {j}: factorization {cw.factorization!r} is not a tuple or list")
         product = 1
         previous = 1
-        for p, e in cw.factorization:
+        for pair in cw.factorization:
+            try:
+                p, e = pair
+            except (TypeError, ValueError):
+                return fail(f"witness {j}: factorization entry {pair!r} is not a pair")
             if type(p) is not int and not is_int(p):
                 return fail(f"witness {j}: factor {p!r} is not an integer")
             if type(e) is not int and not is_int(e):
@@ -547,12 +549,11 @@ def verify_certificate(cert: IndependenceCertificate) -> VerificationResult:
     # The checks above make the selected primes, and each witness's factors,
     # distinct, and every exponent at least 1, so row i must hold the cells
     # of primes[i] and a zero everywhere else.
-    for i, ((_, cells), expected) in enumerate(zip(rows, _prime_cells(ws, primes))):
+    for i, ((_, cells), expected) in enumerate(zip(rows, map(tuple, _prime_cells(ws, primes)))):
         if cells != expected:
             got, want = dict(cells), dict(expected)
             wrong = [j for j in got.keys() | want.keys() if got.get(j, 0) != want.get(j, 0)]
-            if wrong:
-                return fail(f"evaluation[{i}][{min(wrong)}] does not match the factorizations")
+            return fail(f"evaluation[{i}][{min(wrong)}] does not match the factorizations")
     return VerificationResult(True)
 
 

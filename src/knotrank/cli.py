@@ -97,16 +97,6 @@ def _json_list(joined: str, pad: str) -> str:
     return f"[{pad}  {joined}{pad}]" if joined else "[]"
 
 
-def _json_entry(value) -> str:
-    """A matrix entry as ``json.dumps`` lays it out in the certificate envelope.
-
-    Only an entry that is not an int in 0..9 comes here.
-    """
-    import json  # here, not with the module: a built certificate never needs it
-
-    return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n        ")
-
-
 def _certificate_json(cert: characters.IndependenceCertificate, verified: bool) -> Iterator[str]:
     """The ``certificate --json`` envelope of ``cert``, in pieces, ending in a newline.
 
@@ -118,12 +108,12 @@ def _certificate_json(cert: characters.IndependenceCertificate, verified: bool) 
     once, in the templates above.  Each matrix row is one piece, from
     the row writer of ``to_csv``, so no Python step is taken per zero,
     the matrix is never held whole, no dictionary of the envelope is
-    built, and ``json`` is imported only for an entry that is not an
-    int in 0..9, which a built certificate does not have.
+    built, and ``json`` is never imported: every entry is an int, which
+    ``json.dumps`` writes as ``str`` does.
     """
     yield _CERTIFICATE_HEAD
     lead = "[\n      "
-    for text in characters._joined_rows(cert.evaluation, ",\n        ", _json_entry):
+    for text in characters._joined_rows(cert.evaluation, ",\n        "):
         yield f"{lead}[\n        {text}\n      ]" if text else f"{lead}[]"
         lead = ",\n      "
     yield "\n    ]" if cert.evaluation else "[]"

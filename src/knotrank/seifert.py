@@ -32,7 +32,7 @@ from math import isqrt
 from operator import mul
 from typing import Sequence
 
-from ._frozen import Frozen, json_int
+from ._frozen import Frozen, is_int, json_int
 from .laurent import LaurentPoly, NotUnitAtOne
 
 
@@ -49,9 +49,9 @@ class SeifertMatrix(Frozen):
         for row in entries:
             if len(row) != n:
                 raise ValueError("Seifert matrix must be square")
-            for v in row:
-                if not isinstance(v, int) or isinstance(v, bool):
-                    raise ValueError("Seifert matrix entries must be integers")
+            # the type set passes a row of exact ints without a call per entry
+            if not (set(map(type, row)) <= {int} or all(map(is_int, row))):
+                raise ValueError("Seifert matrix entries must be integers")
         object.__setattr__(self, "entries", entries)
 
     @classmethod

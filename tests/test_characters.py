@@ -617,6 +617,29 @@ def test_verify_refuses_a_number_that_is_not_an_integer_by_its_position(
     assert verify_certificate(tampered) == VerificationResult(False, reason)
 
 
+
+@pytest.mark.parametrize(
+    "field, value, reason",
+    [
+        ("factorization", ((5,),), "witness 0: factorization entry (5,) is not a pair"),
+        ("factorization", ((5, 1, 1),), "witness 0: factorization entry (5, 1, 1) is not a pair"),
+        ("factorization", (5,), "witness 0: factorization entry 5 is not a pair"),
+        ("factorization", None, "witness 0: factorization None is not a tuple or list"),
+        ("witness", None, "witness 0: None is not a witness knot"),
+    ],
+    ids=["short pair", "long pair", "int pair", "no factorization", "no witness"],
+)
+def test_verify_refuses_a_malformed_witness_by_its_position(field, value, reason):
+    # unchecked, each would raise inside the verifier, on unpacking or in hfk_top_rank
+    cert = build_certificate(3, 100)
+    cw = cert.witnesses[0]
+    fields = {"witness": cw.witness, "rank": cw.rank, "factorization": cw.factorization}
+    ws = (CertifiedWitness(**{**fields, field: value}, max_prime=cw.max_prime),)
+    ws += cert.witnesses[1:]
+    tampered = IndependenceCertificate(ws, cert.selected_primes, cert.evaluation)
+    assert verify_certificate(tampered) == VerificationResult(False, reason)
+
+
 TWELVE = build_certificate(12, 10_000)
 TAMPER = settings(max_examples=300, deadline=None, derandomize=True)
 
@@ -701,50 +724,49 @@ def test_verify_rejects_a_nonzero_entry_moved_within_its_row(data):
     assert result.reason == f"evaluation[{i}][{min(j, t)}] does not match the factorizations"
 
 
-@pytest.mark.parametrize(
-    "i, j, entry, reason",
-    [
-        # an entry equal to 0 (or to the expected exponent) passes, whatever its type
-        (5, 2, 0.0, None),
-        (5, 2, -0.0, None),
-        (5, 2, False, None),
-        (5, 5, 1.0, None),
-        (5, 5, True, None),
-        (5, 2, 0.5, "triangularity violated at evaluation[5][2]"),
-        (5, 2, True, "triangularity violated at evaluation[5][2]"),
-        (5, 2, float("nan"), "triangularity violated at evaluation[5][2]"),
-        (5, 7, 0.0, None),
-        (5, 7, 1.0, "evaluation[5][7] does not match the factorizations"),
-    ],
-)
-def test_verify_compares_entries_by_equality_not_truth(i, j, entry, reason):
+def twelve_with(i, j, entry):
     matrix = [list(row) for row in TWELVE.evaluation]
     matrix[i][j] = entry
-    result = verify_certificate(tampered_twelve(TWELVE.selected_primes, matrix))
-    assert result == VerificationResult(reason is None, reason)
+    return matrix
 
 
-@pytest.mark.parametrize("entry", [None, "1", [1]], ids=["None", "str", "list"])
-def test_verify_refuses_a_non_numeric_diagonal_entry_without_raising(entry):
-    cert = build_certificate(2, 10)
-    tampered = IndependenceCertificate(cert.witnesses, (5, 13), ((entry, 0), (0, 1)))
-    assert verify_certificate(tampered) == VerificationResult(
-        False, "diagonal entry evaluation[0][0] is not positive"
-    )
+TWO = build_certificate(2, 10)
 
 
-@pytest.mark.parametrize("i, j", [(5, 2), (5, 5), (5, 7)], ids=["below", "diagonal", "above"])
-def test_verify_refuses_none_where_a_zero_or_an_exponent_belongs(i, j):
-    # None is falsy but not 0: it is no zero, whatever its truth
-    matrix = [list(row) for row in TWELVE.evaluation]
-    matrix[i][j] = None
-    reason = {
-        (5, 2): "triangularity violated at evaluation[5][2]",
-        (5, 5): "diagonal entry evaluation[5][5] is not positive",
-        (5, 7): "evaluation[5][7] does not match the factorizations",
-    }[i, j]
-    result = verify_certificate(tampered_twelve(TWELVE.selected_primes, matrix))
-    assert result == VerificationResult(False, reason)
+@pytest.mark.parametrize(
+    "witnesses, primes, matrix, entry",
+    [
+        pytest.param(
+            TWELVE.witnesses,
+            TWELVE.selected_primes,
+            twelve_with(i, j, entry),
+            entry,
+            id=f"{where} {entry!r}",
+        )
+        for where, (i, j) in {"below": (5, 2), "diagonal": (5, 5), "above": (5, 7)}.items()
+        # falsy values and values equal to 0 or to the exponent 1, among others
+        for entry in [0.0, -0.0, False, True, 1.0, 0.5, float("nan"), None, "1", [1]]
+    ]
+    + [
+        pytest.param(TWO.witnesses, (5, 13), ((1, 0.5), (0, 1)), 0.5, id="float entry"),
+        pytest.param(
+            TWO.witnesses,
+            (5, 13),
+            ((True, 0.5), (float("nan"), 1)),
+            True,
+            id="bool, float and NaN entries",
+        ),
+        pytest.param(
+            TWO.witnesses, (5, 13), ((True, 0), (False, 1)), True, id="bool entries in int rows"
+        ),
+    ],
+)
+def test_a_matrix_entry_must_be_an_integer(witnesses, primes, matrix, entry):
+    # 0.0, False, True and 1.0 equal 0 or the exponent 1, so only the type
+    # tells them apart, and the record is made before any check of its values
+    with pytest.raises(ValueError) as info:
+        IndependenceCertificate(witnesses, primes, matrix)
+    assert str(info.value) == f"a matrix entry must be an integer, got {entry!r}"
 
 
 def test_built_certificate_stores_the_cells_of_its_matrix():
@@ -752,11 +774,26 @@ def test_built_certificate_stores_the_cells_of_its_matrix():
     k = len(TWELVE.witnesses)
     assert type(TWELVE.evaluation) is characters._EvaluationView
     cells = characters._prime_cells(TWELVE.witnesses, TWELVE.selected_primes)
-    assert rows == [(k, row) for row in cells]
+    assert rows == tuple((k, tuple(row)) for row in cells)
+    assert all(type(cells) is tuple for _, cells in rows)
     assert TWELVE.evaluation == tuple(
         tuple(dict(cw.factorization).get(p, 0) for cw in TWELVE.witnesses)
         for p in TWELVE.selected_primes
     )
+
+
+def test_a_views_rows_and_cells_cannot_be_changed_in_place():
+    # an assignment into the cells would change a frozen record's verdict and hash
+    cert = build_certificate(12, 10_000)
+    rows = cert.evaluation.rows
+    before = (hash(cert), verify_certificate(cert))
+    with pytest.raises(TypeError):
+        rows[0] = (12, ())
+    with pytest.raises(TypeError):
+        rows[0][1][0] = (0, 2)
+    with pytest.raises(AttributeError):
+        cert.evaluation.rows = ()
+    assert cert == TWELVE and (hash(cert), verify_certificate(cert)) == before
 
 
 @TAMPER

@@ -4,7 +4,8 @@ Every command-line call starts a fresh interpreter, so a module the
 package imports without using is paid on every call.  ``dataclasses``
 (with ``inspect``) and ``fractions`` (with ``decimal``) once took most of
 the import time.  ``json`` loads only for ``--seifert`` input and for
-the ``--json`` output of every command but ``certificate``.
+the ``--json`` output of every command but ``certificate``, whose
+envelope is written from the record for any matrix.
 """
 
 import json
@@ -35,6 +36,10 @@ with redirect_stdout(io.StringIO()) as out:
     report["certificate_code"] = knotrank.cli.main(["certificate", "--count", "3", "--json"])
 report["certificate"] = out.getvalue()
 report["json_after_certificate"] = "json" in sys.modules
+two = knotrank.build_certificate(2, 10)
+wide = knotrank.IndependenceCertificate(two.witnesses, (5, 13), ((1, 10), (-1, 256)))
+report["wide"] = "".join(knotrank.cli._certificate_json(wide, False))
+report["json_after_wide"] = "json" in sys.modules
 with redirect_stdout(io.StringIO()) as out:
     report["json_code"] = knotrank.cli.main(["witness", "--prime", "13", "--json"])
 report["json"] = out.getvalue()
@@ -109,6 +114,13 @@ def test_certificate_json_leaves_json_unloaded(report):
     assert report["certificate_code"] == 0
     assert json.loads(report["certificate"])["result"]["primes"] == [5, 13, 41]
     assert not report["json_after_certificate"]
+
+
+def test_certificate_json_of_entries_outside_one_digit_leaves_json_unloaded(report):
+    # 10, -1 and 256 are not written from the digit template, but still as str writes them
+    result = json.loads(report["wide"])["result"]
+    assert result["matrix"] == [[1, 10], [-1, 256]] and result["verified"] is False
+    assert not report["json_after_wide"]
 
 
 def test_json_output_is_unchanged(report):
