@@ -748,17 +748,11 @@ TWO = build_certificate(2, 10)
         for entry in [0.0, -0.0, False, True, 1.0, 0.5, float("nan"), None, "1", [1]]
     ]
     + [
-        pytest.param(TWO.witnesses, (5, 13), ((1, 0.5), (0, 1)), 0.5, id="float entry"),
+        # entries that are no number, at the first diagonal cell of a 2 x 2 matrix
         pytest.param(
-            TWO.witnesses,
-            (5, 13),
-            ((True, 0.5), (float("nan"), 1)),
-            True,
-            id="bool, float and NaN entries",
-        ),
-        pytest.param(
-            TWO.witnesses, (5, 13), ((True, 0), (False, 1)), True, id="bool entries in int rows"
-        ),
+            TWO.witnesses, (5, 13), ((entry, 0), (0, 1)), entry, id=f"first diagonal {entry!r}"
+        )
+        for entry in [None, "1", [1]]
     ],
 )
 def test_a_matrix_entry_must_be_an_integer(witnesses, primes, matrix, entry):

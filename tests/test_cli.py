@@ -508,8 +508,35 @@ def hand_built_certificates():
     }
 
 
-@pytest.mark.parametrize("name", sorted(hand_built_certificates()))
+# matrices that no record holds: bytes() refuses a float with a TypeError,
+# not a ValueError, and str and json.dumps write True, False and NaN
+# differently, and neither as a digit
+NON_INT_MATRICES = {
+    "float entry": ((1, 0.5), (0, 1)),
+    "bool, float and NaN entries": ((True, 0.5), (float("nan"), 1)),
+    "bool entries in int rows": ((True, 0), (False, 1)),
+}
+HAND_BUILT = sorted([*hand_built_certificates(), *NON_INT_MATRICES])
+
+
+def refused_entry(matrix) -> str:
+    """The message that refuses ``matrix``: its first entry that is no int, in reading order."""
+    entry = next(v for row in matrix for v in row if type(v) is not int)
+    return f"a matrix entry must be an integer, got {entry!r}"
+
+
+@pytest.mark.parametrize("name", HAND_BUILT)
 def test_certificate_writer_matches_json_dumps_on_hand_built_records(name):
+    if name in NON_INT_MATRICES:
+        # no record can be written with this matrix, and the text json.dumps
+        # gives for one is refused when it is read back
+        matrix = NON_INT_MATRICES[name]
+        real = characters.build_certificate(2, 10)
+        result = json.loads(certificate_envelope(real, False, matrix))["result"]
+        with pytest.raises(ValueError) as info:
+            characters.IndependenceCertificate.from_json(result)
+        assert str(info.value) == f"malformed certificate JSON: {refused_entry(matrix)}"
+        return
     cert, verified = hand_built_certificates()[name]
     assert "".join(cli._certificate_json(cert, verified)) == certificate_envelope(cert, verified)
 
@@ -522,8 +549,16 @@ def certificate_csv(cert, matrix) -> str:
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("name", sorted(hand_built_certificates()))
+@pytest.mark.parametrize("name", HAND_BUILT)
 def test_certificate_csv_matches_str_join_on_hand_built_records(name):
+    if name in NON_INT_MATRICES:
+        # the record is refused when it is made, so there is no CSV to write
+        matrix = NON_INT_MATRICES[name]
+        real = characters.build_certificate(2, 10)
+        with pytest.raises(ValueError) as info:
+            characters.IndependenceCertificate(real.witnesses, (5, 13), matrix)
+        assert str(info.value) == refused_entry(matrix)
+        return
     cert, _ = hand_built_certificates()[name]
     assert cert.to_csv() == certificate_csv(cert, cert.evaluation)
 
