@@ -456,11 +456,11 @@ def verify_certificate(cert: IndependenceCertificate) -> VerificationResult:
 
     Every selected prime, stored rank, max prime, factor and exponent
     must be an integer (``is_int``: an int, not a bool), each witness a
-    ``WitnessKnot`` and each factorization a tuple or list of pairs;
-    each is checked before it is used, so a record built by hand with a
-    float, a string or ``None`` there is refused with a reason that
-    names its position.  The matrix needs no such check: the record
-    holds only integer entries.
+    ``WitnessKnot`` with an integer index and stab_count, and each
+    factorization a tuple or list of pairs; each is checked before it is
+    used, so a record built by hand with a float, a string or ``None``
+    there is refused with a reason that names its position.  The matrix
+    needs no such check: the record holds only integer entries.
 
     The cost is linear in the input.  Each matrix row is read as the
     cells that every record holds (``evaluation.rows``), each a nonzero
@@ -510,9 +510,13 @@ def verify_certificate(cert: IndependenceCertificate) -> VerificationResult:
             return fail(f"witness {j}: stored rank {cw.rank!r} is not an integer")
         if type(cw.max_prime) is not int and not is_int(cw.max_prime):
             return fail(f"witness {j}: stored max prime {cw.max_prime!r} is not an integer")
-        if not isinstance(cw.witness, WitnessKnot):
-            return fail(f"witness {j}: {cw.witness!r} is not a witness knot")
-        if cw.rank != pretzel.hfk_top_rank(cw.witness):
+        w = cw.witness
+        if not isinstance(w, WitnessKnot) or (
+            (type(w.index) is not int and not is_int(w.index))
+            or (type(w.stab_count) is not int and not is_int(w.stab_count))
+        ):
+            return fail(f"witness {j}: {w!r} is not a witness knot")
+        if cw.rank != pretzel.hfk_top_rank(w):
             return fail(f"witness {j}: stored rank {cw.rank} does not match its knot")
         if not isinstance(cw.factorization, (tuple, list)):
             return fail(f"witness {j}: factorization {cw.factorization!r} is not a tuple or list")

@@ -59,16 +59,10 @@ class LaurentPoly(Frozen):
             object.__setattr__(self, "lowest", lowest + lo)
             object.__setattr__(self, "coeffs", tuple(coeffs[lo:hi]))
 
-    @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return cls(0, ())
-
-    @classmethod
-    def one(cls) -> "LaurentPoly":
-        return cls(0, (1,))
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
+
+    # -- arithmetic: products only, with no sum, difference or power -------
 
     def __mul__(self, other: "int | LaurentPoly") -> "LaurentPoly":
         if isinstance(other, int):
@@ -76,7 +70,7 @@ class LaurentPoly(Frozen):
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         if not self.coeffs or not other.coeffs:
-            return LaurentPoly.zero()
+            return LaurentPoly()
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, c in enumerate(self.coeffs):
             if c:
@@ -85,33 +79,6 @@ class LaurentPoly(Frozen):
         return LaurentPoly(self.lowest + other.lowest, out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> "LaurentPoly":
-        """The k-th power, by J.C.P. Miller's recurrence for the coefficients.
-
-        With q = self and f = q^k, both lowest first, f_0 = q_0^k and
-        j * q_0 * f_j = sum over a of ((k + 1) * a - j) * q_a * f_(j - a).
-        The constructor keeps q_0 nonzero and every f_j is an integer, so
-        each division is exact.  This costs O(k * d^2) for d + 1
-        coefficients, against O((k * d)^2) for repeated squaring.
-
-        >>> str(LaurentPoly(0, (1, -1, 1)) ** 2)
-        '1 - 2t + 3t^2 - 2t^3 + t^4'
-        """
-        if k < 0:
-            raise ValueError("negative powers of Laurent polynomials are not supported")
-        q = self.coeffs
-        if not q:
-            return LaurentPoly.one() if k == 0 else self
-        d = len(q) - 1
-        q0 = q[0]
-        f = [q0**k]
-        for j in range(1, k * d + 1):
-            acc = 0
-            for a in range(1, min(j, d) + 1):
-                acc += ((k + 1) * a - j) * q[a] * f[j - a]
-            f.append(acc // (j * q0))
-        return LaurentPoly(k * self.lowest, f)
 
     # -- the operations the rest of the package is built on --------------
 

@@ -19,9 +19,6 @@ class AlreadyStabilized(ValueError):
     """Stabilization starts from an unstabilized witness."""
 
 
-TREFOIL_ALEXANDER = LaurentPoly(0, (1, -1, 1))
-
-
 class PretzelKnot(Frozen):
     """The pretzel knot P(2l+1, 2m+1, 2n+1), stored by its (l, m, n) parameters."""
 
@@ -150,13 +147,14 @@ def alexander_of_witness(w: WitnessKnot) -> LaurentPoly:
     for every index.  Connected sums multiply Alexander polynomials, so
     stab_count trefoil summands make it (1 - t + t^2)^(stab_count + 1).
 
-    The power is J.C.P. Miller's recurrence of ``LaurentPoly.__pow__``
-    with q = 1 - t + t^2 written in: for f = q^g, q_0 = 1, q_1 = -1 and
-    q_2 = 1 turn j * f_j = sum over a of ((g + 1) * a - j) * q_a * f_(j - a)
-    into j * f_j = (j - g - 1) * f_(j - 1) + (2g + 2 - j) * f_(j - 2), with
-    f_0 = 1 and f_1 = -g.  Since q_0 = 1 there is no other divisor, and
-    f_j is an integer, so each division by j is exact.  q is a palindrome,
-    so f is one too: f_0..f_g are computed and mirrored.
+    The power is computed by J.C.P. Miller's formula for the powers of a
+    power series (Knuth, TAOCP vol. 2, section 4.7): for f = q^g with
+    q_0 = 1, j * f_j = sum over a of ((g + 1) * a - j) * q_a * f_(j - a).
+    With q = 1 - t + t^2, that is q_1 = -1 and q_2 = 1, it has two terms:
+    j * f_j = (j - g - 1) * f_(j - 1) + (2g + 2 - j) * f_(j - 2), with
+    f_0 = 1 and f_1 = -g.  Every f_j is an integer, so each division by j
+    is exact.  q is a palindrome, so f is one too: f_0..f_g are computed
+    and mirrored.
     """
     g = w.genus
     f = [1, -g]

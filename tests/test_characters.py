@@ -626,11 +626,37 @@ def test_verify_refuses_a_number_that_is_not_an_integer_by_its_position(
         ("factorization", (5,), "witness 0: factorization entry 5 is not a pair"),
         ("factorization", None, "witness 0: factorization None is not a tuple or list"),
         ("witness", None, "witness 0: None is not a witness knot"),
+        (
+            "witness",
+            WitnessKnot(2.0),
+            "witness 0: WitnessKnot(index=2.0, stab_count=0) is not a witness knot",
+        ),
+        (
+            "witness",
+            WitnessKnot(2, 1.0),
+            "witness 0: WitnessKnot(index=2, stab_count=1.0) is not a witness knot",
+        ),
+        (
+            "witness",
+            WitnessKnot(2, True),
+            "witness 0: WitnessKnot(index=2, stab_count=True) is not a witness knot",
+        ),
     ],
-    ids=["short pair", "long pair", "int pair", "no factorization", "no witness"],
+    ids=[
+        "short pair",
+        "long pair",
+        "int pair",
+        "no factorization",
+        "no witness",
+        "float index",
+        "float stab",
+        "bool stab",
+    ],
 )
 def test_verify_refuses_a_malformed_witness_by_its_position(field, value, reason):
-    # unchecked, each would raise inside the verifier, on unpacking or in hfk_top_rank
+    # unchecked, the first five would raise inside the verifier, on unpacking
+    # or in hfk_top_rank; the last three would verify, though from_json
+    # refuses the JSON of their record
     cert = build_certificate(3, 100)
     cw = cert.witnesses[0]
     fields = {"witness": cw.witness, "rank": cw.rank, "factorization": cw.factorization}
@@ -809,7 +835,9 @@ def test_verify_gives_a_tampered_view_the_reason_of_the_same_tampered_tuple(whic
     elif kind == "exponent":
         j, e = data.draw(st.sampled_from(cells[i]), label="cell")
         new = data.draw(st.integers(-50, 50).filter(lambda v: v != e), label="exponent")
-        cells[i] = sorted([(c, v) for c, v in cells[i] if c != j] + [(j, new)])
+        cells[i] = [(c, v) for c, v in cells[i] if c != j]
+        if new:  # a view holds only nonzero cells: a drawn 0 drops the cell, as above
+            cells[i] = sorted(cells[i] + [(j, new)])
         matrix[i][j] = new
     else:
         span = range(i) if kind == "below" else range(i + 1, k)

@@ -196,6 +196,15 @@ def test_alexander_rejects_a_file_that_is_not_utf8(capsys, tmp_path):
     assert err.count("\n") == 1
 
 
+def test_alexander_rejects_a_file_that_is_not_json(capsys, tmp_path):
+    path = tmp_path / "cut.json"
+    path.write_text('{"size": 2, "entries": [[1, 1], [0, 1]')
+    code, out, err = run_cli(capsys, "alexander", "--seifert", str(path))
+    assert (code, out) == (2, "")
+    reason = "Expecting ',' delimiter: line 1 column 39 (char 38)"
+    assert err == f"error: {path} is not valid JSON: {reason}\n"
+
+
 def test_alexander_rejects_missing_file(capsys, tmp_path):
     code, _, err = run_cli(capsys, "alexander", "--seifert", str(tmp_path / "no.json"))
     assert code == 2
@@ -357,6 +366,20 @@ def test_certificate_exhaustion_exit_code(capsys):
     code, _, err = run_cli(capsys, "certificate", "--count", "100000", "--search-limit", "10")
     assert code == 3
     assert "witnesses" in err
+
+
+@pytest.mark.parametrize("option", ["--count", "--search-limit"])
+def test_certificate_refuses_a_count_or_search_limit_below_one(capsys, option):
+    code, out, err = run_cli(capsys, "certificate", option, "0")
+    assert (code, out) == (2, "")
+    assert err == f"error: {option} must be >= 1, got 0\n"
+
+
+def test_certificate_csv_into_a_missing_directory_exits_two(capsys, tmp_path):
+    path = tmp_path / "missing" / "x.csv"
+    code, out, err = run_cli(capsys, "certificate", "--count", "3", "--csv", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write {path}: [Errno 2] No such file or directory: '{path}'\n"
 
 
 def test_certificate_writes_csv(capsys, tmp_path):
@@ -710,6 +733,24 @@ def test_selftest_names_sabotaged_rank(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "selftest", "--fast")
     assert code == 1
     assert "FAIL: witness verification" in out
+
+
+def test_selftest_names_a_failed_certificate(capsys, monkeypatch):
+    forced = characters.VerificationResult(False, "forced")
+    monkeypatch.setattr(characters, "verify_certificate", lambda cert: forced)
+    code, out, _ = run_cli(capsys, "selftest", "--fast")
+    assert code == 1
+    assert out == "ok: pretzel box oracle\nok: witness verification\nFAIL: certificate (forced)\n"
+    code, envelope, _ = run_json(capsys, "selftest", "--fast")
+    assert code == 1
+    assert envelope["result"] == {
+        "checks": [
+            {"name": "pretzel box oracle", "ok": True},
+            {"name": "witness verification", "ok": True},
+            {"name": "certificate", "ok": False, "detail": "forced"},
+        ],
+        "ok": False,
+    }
 
 
 def test_selftest_box_oracle_checks_witnesses_outside_the_fast_box(capsys, monkeypatch):
