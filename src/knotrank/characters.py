@@ -11,12 +11,13 @@ from __future__ import annotations
 
 from itertools import compress, starmap
 from math import isqrt
-from typing import Iterator, Optional
 
 from . import numtheory, pretzel
 from ._frozen import Frozen, is_int, json_int
 from .numtheory import NotPrime, PrimePower
 from .pretzel import WitnessKnot
+
+# Iterator in annotations is collections.abc's; annotations are never evaluated.
 
 
 class SearchExhausted(RuntimeError):
@@ -169,9 +170,9 @@ class VerificationResult(Frozen):
 
     __slots__ = ("ok", "reason")
     ok: bool
-    reason: Optional[str]
+    reason: str | None
 
-    def __init__(self, ok: bool, reason: Optional[str] = None) -> None:
+    def __init__(self, ok: bool, reason: str | None = None) -> None:
         object.__setattr__(self, "ok", ok)
         object.__setattr__(self, "reason", reason)
 

@@ -12,13 +12,16 @@ import math
 import os
 import sys
 from itertools import chain
-from typing import Iterable, Iterator, Optional, Sequence
 
-from . import characters, numtheory, pretzel, seifert
-from .characters import SearchExhausted
+from . import pretzel, seifert
 from .laurent import LaurentPoly, NotUnitAtOne
 from .pretzel import PretzelKnot, WitnessKnot
 from .seifert import SeifertMatrix
+
+# characters and numtheory are imported by the code that runs them, so
+# alexander, fibered and rank never load them.  Annotations are never
+# evaluated, so the names in them (characters, and collections.abc's
+# Iterable, Iterator and Sequence) need no import here.
 
 SCHEMA_VERSION = "1"
 
@@ -111,6 +114,8 @@ def _certificate_json(cert: characters.IndependenceCertificate, verified: bool) 
     built, and ``json`` is never imported: every entry is an int, which
     ``json.dumps`` writes as ``str`` does.
     """
+    from . import characters
+
     yield _CERTIFICATE_HEAD
     lead = "[\n      "
     for text in characters._joined_rows(cert.evaluation, ",\n        "):
@@ -205,6 +210,8 @@ def cmd_fibered(args) -> int:
 
 
 def cmd_witness(args) -> int:
+    from . import characters
+
     p = args.prime
     cw = characters.witness_for_prime(p)
     n = cw.witness.index
@@ -238,7 +245,12 @@ def cmd_certificate(args) -> int:
         raise ValueError(f"--count must be >= 1, got {args.count}")
     if args.search_limit < 1:
         raise ValueError(f"--search-limit must be >= 1, got {args.search_limit}")
-    cert = characters.build_certificate(args.count, args.search_limit)
+    from . import characters
+
+    try:
+        cert = characters.build_certificate(args.count, args.search_limit)
+    except characters.SearchExhausted as exc:
+        return _report(str(exc), 3)
     check = characters.verify_certificate(cert)
     if args.csv:
         try:
@@ -364,6 +376,8 @@ def _check_box_oracle(copies: int) -> None:
 
 
 def _check_witnesses(limit: int) -> None:
+    from . import characters, numtheory
+
     for p in numtheory.primes_one_mod_four(limit):
         cw = characters.witness_for_prime(p)
         if cw.rank % p != 0:
@@ -371,6 +385,8 @@ def _check_witnesses(limit: int) -> None:
 
 
 def _check_certificate(rows: int) -> None:
+    from . import characters
+
     cert = characters.build_certificate(rows, 10_000)
     check = characters.verify_certificate(cert)
     if not check:
@@ -479,7 +495,7 @@ def _add_command(p: argparse.ArgumentParser, name: str) -> argparse.ArgumentPars
     return p
 
 
-def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The ``knotrank`` parser; with a ``command`` name, that command's own.
 
     argparse builds a whole parser per subcommand, which is most of the
@@ -560,13 +576,11 @@ def _run(argv: list[str]) -> int:
         return _report(f"cannot write to standard output: {exc}", 2)
     except NotUnitAtOne as exc:
         return _report(str(exc), 1)
-    except SearchExhausted as exc:
-        return _report(str(exc), 3)
     except ValueError as exc:
         return _report(str(exc), 2)
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     """Run one command; ``argv`` defaults to ``sys.argv[1:]``.
 
     Standard output is written only through ``_write``, whose failure

@@ -9,12 +9,10 @@ one where nothing changes (``normalize`` of a normal polynomial).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
-
 from ._frozen import Frozen, json_int
 
-if TYPE_CHECKING:
-    from fractions import Fraction
+# Sequence and Fraction in annotations are collections.abc's and fractions';
+# annotations are never evaluated, so neither module loads at start-up.
 
 
 class ZeroPolynomial(ValueError):

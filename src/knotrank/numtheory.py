@@ -7,11 +7,11 @@ witness-index case split, and complete integer factorization.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
 from itertools import compress
 from math import gcd, isqrt, prod
 from operator import mul
-from typing import NamedTuple
 
 
 class NotPrime(ValueError):
@@ -22,9 +22,7 @@ class NotOneModFour(ValueError):
     """The argument must be congruent to 1 mod 4."""
 
 
-class PrimePower(NamedTuple):
-    prime: int
-    exponent: int
+PrimePower = namedtuple("PrimePower", ["prime", "exponent"])
 
 
 # The first 13 prime bases, 2 to 41, admit no strong pseudoprime below

@@ -30,10 +30,11 @@ from __future__ import annotations
 
 from math import isqrt
 from operator import mul
-from typing import Sequence
 
 from ._frozen import Frozen, is_int, json_int
 from .laurent import LaurentPoly, NotUnitAtOne
+
+# Sequence in annotations is collections.abc's; annotations are never evaluated.
 
 
 class SeifertMatrix(Frozen):

@@ -5,7 +5,9 @@ package imports without using is paid on every call.  ``dataclasses``
 (with ``inspect``) and ``fractions`` (with ``decimal``) once took most of
 the import time.  ``json`` loads only for ``--seifert`` input and for
 the ``--json`` output of every command but ``certificate``, whose
-envelope is written from the record for any matrix.
+envelope is written from the record for any matrix.  ``import knotrank``
+executes no submodule, the number theory and certificate modules load
+only for the commands that use them, and ``typing`` loads for none.
 """
 
 import json
@@ -126,3 +128,74 @@ def test_certificate_json_of_entries_outside_one_digit_leaves_json_unloaded(repo
 def test_json_output_is_unchanged(report):
     assert report["json_code"] == 0
     assert report["json"] == WITNESS_13_JSON
+
+
+# Under -S no site hook has loaded typing or any other module before
+# the probe, so what is loaded is what knotrank and its commands loaded.
+# Each entry holds the knotrank submodules loaded so far and whether
+# typing is; the probe imports json only to print its report.
+LAZY_PROBE = f"""
+import io, sys
+from contextlib import redirect_stdout
+sys.path.insert(0, {str(SRC)!r})
+typing_at_start = "typing" in sys.modules
+
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("knotrank.")), "typing" in sys.modules
+
+import knotrank
+report = {{"typing_at_start": typing_at_start, "import": loaded()}}
+report["cli_attribute"] = repr(getattr(knotrank, "cli", None))
+knotrank.alexander_closed_form, knotrank.alexander_from_seifert
+report["alexander_names"] = loaded()
+import knotrank.cli
+for argv in (["alexander", "--seifert", sys.argv[1]], ["fibered", "--pretzel", "-3,5,7"],
+             ["rank", "--index", "3"], ["witness", "--prime", "13"],
+             ["certificate", "--count", "3", "--json"]):
+    with redirect_stdout(io.StringIO()):
+        report[argv[0] + "_code"] = knotrank.cli.main(argv)
+    report[argv[0]] = loaded()
+import json
+print(json.dumps(report))
+"""
+
+ALEXANDER_MODULES = ["knotrank._frozen", "knotrank.laurent", "knotrank.pretzel", "knotrank.seifert"]
+
+
+@pytest.fixture(scope="module")
+def lazy_report(tmp_path_factory) -> dict:
+    trefoil = tmp_path_factory.mktemp("seifert") / "trefoil.json"
+    trefoil.write_text(json.dumps({"size": 2, "entries": [[1, 1], [0, 1]]}))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-I", "-c", LAZY_PROBE, str(trefoil)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_import_executes_no_submodule(lazy_report):
+    assert lazy_report["import"][0] == []
+    assert lazy_report["cli_attribute"] == "None"
+
+
+def test_alexander_names_leave_number_theory_unloaded(lazy_report):
+    assert lazy_report["alexander_names"][0] == ALEXANDER_MODULES
+
+
+def test_alexander_fibered_and_rank_leave_number_theory_unloaded(lazy_report):
+    for command in ("alexander", "fibered", "rank"):
+        assert lazy_report[command + "_code"] == 0, command
+        assert lazy_report[command][0] == sorted([*ALEXANDER_MODULES, "knotrank.cli"]), command
+
+
+def test_no_command_loads_typing(lazy_report):
+    if lazy_report["typing_at_start"]:
+        pytest.skip("this interpreter loads typing at start-up")
+    for step in ("import", "alexander", "witness", "certificate"):
+        assert not lazy_report[step][1], step
+    for command in ("witness", "certificate"):
+        assert lazy_report[command + "_code"] == 0, command
+        assert {"knotrank.characters", "knotrank.numtheory"} <= set(lazy_report[command][0])
