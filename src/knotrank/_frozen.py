@@ -10,8 +10,8 @@ copying through the constructor.  All of these read the one field tuple
 It imports nothing, where ``dataclasses`` pulls in ``inspect``, ``ast``
 and ``dis``.  ``json_int`` is the one reader of an integer field in a
 record's ``from_json``, and ``is_int`` its rule, which a Seifert matrix
-and a certificate's evaluation matrix apply when they are made, and the
-certificate verifier to the other fields of a record built by hand.
+and every field of a certificate apply when they are made, so that the
+certificate verifier checks only arithmetic.
 """
 
 

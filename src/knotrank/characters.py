@@ -43,7 +43,17 @@ def prime_component(w: WitnessKnot, p: int) -> int:
 
 
 class CertifiedWitness(Frozen):
-    """A witness with its rank, full factorization, and largest rank prime."""
+    """A witness with its rank, full factorization, and largest rank prime.
+
+    Every field is checked when the record is made, in this order: the
+    witness must be a ``WitnessKnot`` with an integer index and
+    stab_count, else ``ValueError`` (``... is not a witness knot``); the
+    rank, each factor and then its exponent, and the max prime must be
+    integers (``is_int``), else ``json_int``'s ``ValueError``.  An
+    entry that does not unpack to a pair, or a factorization that is
+    not iterable, raises Python's own unpacking or iteration error.  The
+    factorization is stored as a tuple of ``PrimePower``.
+    """
 
     __slots__ = ("witness", "rank", "factorization", "max_prime")
     witness: WitnessKnot
@@ -58,9 +68,25 @@ class CertifiedWitness(Frozen):
         factorization: tuple[PrimePower, ...],
         max_prime: int,
     ) -> None:
+        w = witness
+        if not (isinstance(w, WitnessKnot) and is_int(w.index) and is_int(w.stab_count)):
+            raise ValueError(f"{w!r} is not a witness knot")
+        # each ``type(...) is int`` spares an exact int the call of json_int
+        if type(rank) is not int:
+            json_int(rank, "'rank'")
+        factors = []
+        for pair in factorization:
+            p, e = pair  # refuses any entry but a pair
+            if not (type(p) is type(e) is int):
+                json_int(p, "a factor")
+                json_int(e, "an exponent")
+            # a PrimePower is kept: building one runs the Python-level __new__ of a namedtuple
+            factors.append(pair if type(pair) is PrimePower else PrimePower(p, e))
+        if type(max_prime) is not int:
+            json_int(max_prime, "'max_prime'")
         object.__setattr__(self, "witness", witness)
         object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "factorization", factorization)
+        object.__setattr__(self, "factorization", tuple(factors))
         object.__setattr__(self, "max_prime", max_prime)
 
     def to_json(self) -> dict:
@@ -75,16 +101,9 @@ class CertifiedWitness(Frozen):
     def from_json(cls, data: dict) -> "CertifiedWitness":
         try:
             w = WitnessKnot.from_json(data["witness"])
-            rank = json_int(data["rank"], "'rank'")
-            # unpacking refuses a pair that does not have exactly 2 entries
-            factorization = tuple(
-                PrimePower(json_int(p, "a factor"), json_int(e, "an exponent"))
-                for p, e in data["factorization"]
-            )
-            mp = json_int(data["max_prime"], "'max_prime'")
+            return cls(w, data["rank"], data["factorization"], data["max_prime"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed certified witness JSON: {exc}") from exc
-        return cls(w, rank, factorization, mp)
 
 
 def certify(w: WitnessKnot, known_prime: int = 1) -> CertifiedWitness:
@@ -104,7 +123,7 @@ def certify(w: WitnessKnot, known_prime: int = 1) -> CertifiedWitness:
     factors = numtheory.factorize(cofactor)
     if e:
         factors = sorted([*factors, PrimePower(known_prime, e)])
-    return CertifiedWitness(w, r, tuple(factors), factors[-1].prime if factors else 1)
+    return CertifiedWitness(w, r, factors, factors[-1].prime if factors else 1)
 
 
 class IndependenceCertificate(Frozen):
@@ -117,8 +136,12 @@ class IndependenceCertificate(Frozen):
     its row tuples.  A view is kept as it is, and any other matrix is
     read once, here, where every entry must be an integer (``is_int``):
     any other raises ``ValueError``, naming the first in reading order.
-    Nothing else is validated at construction; ``verify_certificate`` is
-    the trust boundary.
+    ``witnesses`` and ``selected_primes`` are stored as tuples; each
+    witness must be a ``CertifiedWitness`` (``... is not a certified
+    witness``) and each prime an integer (``json_int``'s message), else
+    ``ValueError``.  So every field of the record is checked here, in
+    the order ``from_json`` reads them, and ``verify_certificate``
+    checks only the arithmetic.
     """
 
     __slots__ = ("witnesses", "selected_primes", "evaluation")
@@ -132,8 +155,16 @@ class IndependenceCertificate(Frozen):
         selected_primes: tuple[int, ...],
         evaluation: tuple[tuple[int, ...], ...],
     ) -> None:
+        witnesses = tuple(witnesses)
+        for cw in witnesses:
+            if not isinstance(cw, CertifiedWitness):
+                raise ValueError(f"{cw!r} is not a certified witness")
+        primes = tuple(selected_primes)
+        if not set(map(type, primes)) <= {int}:  # as ``_dense_cells`` scans a row
+            for p in primes:
+                json_int(p, "a prime")
         object.__setattr__(self, "witnesses", witnesses)
-        object.__setattr__(self, "selected_primes", selected_primes)
+        object.__setattr__(self, "selected_primes", primes)
         object.__setattr__(self, "evaluation", _EvaluationView.of(evaluation))
 
     def to_json(self) -> dict:
@@ -147,18 +178,16 @@ class IndependenceCertificate(Frozen):
     def from_json(cls, data: dict) -> "IndependenceCertificate":
         """The record that ``data`` describes.
 
-        The matrix is read once, into the view of its cells that every
-        record holds (``_EvaluationView.of``), which refuses an entry that
-        is not an integer as any record does.  A matrix of any shape is
+        Its fields are checked by the constructor, as any record's are;
+        the matrix is read once, into the view of its cells that every
+        record holds (``_EvaluationView.of``).  A matrix of any shape is
         read; ``verify_certificate`` rejects one whose dimensions disagree.
         """
         try:
-            witnesses = tuple(CertifiedWitness.from_json(w) for w in data["witnesses"])
-            primes = tuple(json_int(p, "a prime") for p in data["primes"])
-            evaluation = _EvaluationView.of(data["matrix"])
+            witnesses = [CertifiedWitness.from_json(w) for w in data["witnesses"]]
+            return cls(witnesses, data["primes"], data["matrix"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed certificate JSON: {exc}") from exc
-        return cls(witnesses, primes, evaluation)
 
     def to_csv(self) -> str:
         """Evaluation matrix as CSV: rows are primes, columns are witnesses."""
@@ -441,7 +470,7 @@ def build_certificate(count: int, search_limit: int) -> IndependenceCertificate:
         )
     primes = tuple(cw.max_prime for cw in kept)
     rows = [(count, cells) for cells in _prime_cells(kept, primes)]
-    return IndependenceCertificate(tuple(kept), primes, _EvaluationView(rows))
+    return IndependenceCertificate(kept, primes, _EvaluationView(rows))
 
 
 def verify_certificate(cert: IndependenceCertificate) -> VerificationResult:
@@ -455,13 +484,10 @@ def verify_certificate(cert: IndependenceCertificate) -> VerificationResult:
     which is not 0, so the shape alone proves full rank over the
     rationals and no rank computation is needed.
 
-    Every selected prime, stored rank, max prime, factor and exponent
-    must be an integer (``is_int``: an int, not a bool), each witness a
-    ``WitnessKnot`` with an integer index and stab_count, and each
-    factorization a tuple or list of pairs; each is checked before it is
-    used, so a record built by hand with a float, a string or ``None``
-    there is refused with a reason that names its position.  The matrix
-    needs no such check: the record holds only integer entries.
+    The checks are arithmetic only: every number the record holds is an
+    integer, each witness a ``WitnessKnot`` and each factorization a
+    tuple of pairs, since the records refuse any other value when they
+    are made.
 
     The cost is linear in the input.  Each matrix row is read as the
     cells that every record holds (``evaluation.rows``), each a nonzero
@@ -484,10 +510,6 @@ def verify_certificate(cert: IndependenceCertificate) -> VerificationResult:
     rows = cert.evaluation.rows
     if len(primes) != k or len(rows) != k or any(width != k for width, _ in rows):
         return fail("witness, prime, and matrix dimensions disagree")
-    # each ``type(...) is not int`` spares an exact int the call of is_int
-    for i, p in enumerate(primes):
-        if type(p) is not int and not is_int(p):
-            return fail(f"selected value {p!r} at position {i} is not an integer")
     for i in range(1, k):
         if primes[i] <= primes[i - 1]:
             return fail(f"selected primes are not strictly increasing at position {i}")
@@ -507,31 +529,11 @@ def verify_certificate(cert: IndependenceCertificate) -> VerificationResult:
             return fail(f"selected value {p} at position {i} is not prime")
         proven.add(p)
     for j, cw in enumerate(ws):
-        if type(cw.rank) is not int and not is_int(cw.rank):
-            return fail(f"witness {j}: stored rank {cw.rank!r} is not an integer")
-        if type(cw.max_prime) is not int and not is_int(cw.max_prime):
-            return fail(f"witness {j}: stored max prime {cw.max_prime!r} is not an integer")
-        w = cw.witness
-        if not isinstance(w, WitnessKnot) or (
-            (type(w.index) is not int and not is_int(w.index))
-            or (type(w.stab_count) is not int and not is_int(w.stab_count))
-        ):
-            return fail(f"witness {j}: {w!r} is not a witness knot")
-        if cw.rank != pretzel.hfk_top_rank(w):
+        if cw.rank != pretzel.hfk_top_rank(cw.witness):
             return fail(f"witness {j}: stored rank {cw.rank} does not match its knot")
-        if not isinstance(cw.factorization, (tuple, list)):
-            return fail(f"witness {j}: factorization {cw.factorization!r} is not a tuple or list")
         product = 1
         previous = 1
-        for pair in cw.factorization:
-            try:
-                p, e = pair
-            except (TypeError, ValueError):
-                return fail(f"witness {j}: factorization entry {pair!r} is not a pair")
-            if type(p) is not int and not is_int(p):
-                return fail(f"witness {j}: factor {p!r} is not an integer")
-            if type(e) is not int and not is_int(e):
-                return fail(f"witness {j}: exponent {e!r} of {p} is not an integer")
+        for p, e in cw.factorization:
             if e < 1:
                 return fail(f"witness {j}: exponent of {p} is not positive")
             if e > cw.rank.bit_length():
@@ -548,8 +550,8 @@ def verify_certificate(cert: IndependenceCertificate) -> VerificationResult:
             product *= p**e
         if product != cw.rank:
             return fail(f"witness {j}: factorization does not multiply back to the rank")
-        expected_max = cw.factorization[-1][0] if cw.factorization else 1
-        if cw.max_prime != expected_max:
+        # the factors ascend, so previous is the largest, or 1 for the rank 1
+        if cw.max_prime != previous:
             return fail(f"witness {j}: stored max prime {cw.max_prime} is wrong")
     # The checks above make the selected primes, and each witness's factors,
     # distinct, and every exponent at least 1, so row i must hold the cells

@@ -67,8 +67,6 @@ class LaurentPoly(Frozen):
             return LaurentPoly(self.lowest, tuple(c * other for c in self.coeffs))
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        if not self.coeffs or not other.coeffs:
-            return LaurentPoly()
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, c in enumerate(self.coeffs):
             if c:

@@ -138,6 +138,9 @@ def test_build_certificate_rejects_bad_arguments():
         build_certificate(0, 10)
     with pytest.raises(ValueError):
         build_certificate(1, 0)
+    # its own guard, not the witness index check of pretzel.witness(0)
+    with pytest.raises(ValueError, match="^search_limit must be >= 1, got 0$"):
+        build_certificate(3, 0)
 
 
 def rank_of(n):
@@ -508,7 +511,7 @@ def test_verify_accepts_an_entry_above_the_diagonal_and_an_exponent_of_two():
 
 
 def test_verify_accepts_a_factorization_of_plain_pairs():
-    # records are not validated at construction: a factor may be a plain (p, e) tuple
+    # a factor may be passed as a plain (p, e) tuple
     cw = CertifiedWitness(WitnessKnot(2), 5, ((5, 1),), 5)
     result = verify_certificate(IndependenceCertificate((cw,), (5,), ((1,),)))
     assert result == VerificationResult(True)
@@ -585,61 +588,76 @@ def test_verify_rejects_a_tampered_factorization_of_a_rank(factors, max_prime, r
 
 
 @pytest.mark.parametrize(
-    "position, field, value, reason",
+    "position, field, value, message",
     [
-        (0, "prime", 5.0, "selected value 5.0 at position 0 is not an integer"),
-        (2, "prime", None, "selected value None at position 2 is not an integer"),
-        (0, "rank", 5.0, "witness 0: stored rank 5.0 is not an integer"),
-        (2, "max_prime", 41.0, "witness 2: stored max prime 41.0 is not an integer"),
-        (0, "factorization", ((5, None),), "witness 0: exponent None of 5 is not an integer"),
-        (0, "factorization", (("5", 1),), "witness 0: factor '5' is not an integer"),
-        (0, "factorization", ((5.0, 1),), "witness 0: factor 5.0 is not an integer"),
-        (0, "factorization", ((5, 1.0),), "witness 0: exponent 1.0 of 5 is not an integer"),
-        (0, "factorization", ((5, True),), "witness 0: exponent True of 5 is not an integer"),
+        (0, "prime", 5.0, "a prime must be an integer, got 5.0"),
+        (2, "prime", None, "a prime must be an integer, got None"),
+        (0, "rank", 5.0, "'rank' must be an integer, got 5.0"),
+        (2, "max_prime", 41.0, "'max_prime' must be an integer, got 41.0"),
+        (0, "factorization", ((5, None),), "an exponent must be an integer, got None"),
+        (0, "factorization", (("5", 1),), "a factor must be an integer, got '5'"),
+        (0, "factorization", ((5.0, 1),), "a factor must be an integer, got 5.0"),
+        (0, "factorization", ((5, 1.0),), "an exponent must be an integer, got 1.0"),
+        (0, "factorization", ((5, True),), "an exponent must be an integer, got True"),
+    ],
+    # the reasons the verifier gave these records when it checked their types
+    ids=[
+        "0-prime-5.0-selected value 5.0 at position 0 is not an integer",
+        "2-prime-None-selected value None at position 2 is not an integer",
+        "0-rank-5.0-witness 0: stored rank 5.0 is not an integer",
+        "2-max_prime-41.0-witness 2: stored max prime 41.0 is not an integer",
+        "0-factorization-value4-witness 0: exponent None of 5 is not an integer",
+        "0-factorization-value5-witness 0: factor '5' is not an integer",
+        "0-factorization-value6-witness 0: factor 5.0 is not an integer",
+        "0-factorization-value7-witness 0: exponent 1.0 of 5 is not an integer",
+        "0-factorization-value8-witness 0: exponent True of 5 is not an integer",
     ],
 )
 def test_verify_refuses_a_number_that_is_not_an_integer_by_its_position(
-    position, field, value, reason
+    position, field, value, message
 ):
-    # json_int's rule, for a record built by hand: the float factor, the
-    # float and bool exponents and the float max prime each verified, and
-    # every other value here raised inside the verifier
+    # json_int's rule, for a record built by hand: it is refused when it is
+    # made, with the message from_json gives, and never reaches the verifier
     cert = build_certificate(3, 100)
     assert cert.selected_primes == (5, 13, 41) and verify_certificate(cert)
-    primes, ws = list(cert.selected_primes), list(cert.witnesses)
-    if field == "prime":
-        primes[position] = value
-    else:
-        cw = ws[position]
-        fields = {"rank": cw.rank, "factorization": cw.factorization, "max_prime": cw.max_prime}
-        ws[position] = CertifiedWitness(cw.witness, **{**fields, field: value})
-    tampered = IndependenceCertificate(tuple(ws), tuple(primes), cert.evaluation)
-    assert verify_certificate(tampered) == VerificationResult(False, reason)
-
+    primes = list(cert.selected_primes)
+    cw = cert.witnesses[position]
+    fields = {"rank": cw.rank, "factorization": cw.factorization, "max_prime": cw.max_prime}
+    with pytest.raises(ValueError) as info:
+        if field == "prime":
+            primes[position] = value
+            IndependenceCertificate(cert.witnesses, tuple(primes), cert.evaluation)
+        else:
+            CertifiedWitness(cw.witness, **{**fields, field: value})
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize(
-    "field, value, reason",
+    "field, value, error, message",
     [
-        ("factorization", ((5,),), "witness 0: factorization entry (5,) is not a pair"),
-        ("factorization", ((5, 1, 1),), "witness 0: factorization entry (5, 1, 1) is not a pair"),
-        ("factorization", (5,), "witness 0: factorization entry 5 is not a pair"),
-        ("factorization", None, "witness 0: factorization None is not a tuple or list"),
-        ("witness", None, "witness 0: None is not a witness knot"),
+        ("factorization", ((5,),), ValueError, "not enough values to unpack (expected 2, got 1)"),
+        # Python 3.14 adds ", got 3" to this message
+        ("factorization", ((5, 1, 1),), ValueError, "too many values to unpack (expected 2"),
+        ("factorization", (5,), TypeError, "cannot unpack non-iterable int object"),
+        ("factorization", None, TypeError, "'NoneType' object is not iterable"),
+        ("witness", None, ValueError, "None is not a witness knot"),
         (
             "witness",
             WitnessKnot(2.0),
-            "witness 0: WitnessKnot(index=2.0, stab_count=0) is not a witness knot",
+            ValueError,
+            "WitnessKnot(index=2.0, stab_count=0) is not a witness knot",
         ),
         (
             "witness",
             WitnessKnot(2, 1.0),
-            "witness 0: WitnessKnot(index=2, stab_count=1.0) is not a witness knot",
+            ValueError,
+            "WitnessKnot(index=2, stab_count=1.0) is not a witness knot",
         ),
         (
             "witness",
             WitnessKnot(2, True),
-            "witness 0: WitnessKnot(index=2, stab_count=True) is not a witness knot",
+            ValueError,
+            "WitnessKnot(index=2, stab_count=True) is not a witness knot",
         ),
     ],
     ids=[
@@ -653,17 +671,38 @@ def test_verify_refuses_a_number_that_is_not_an_integer_by_its_position(
         "bool stab",
     ],
 )
-def test_verify_refuses_a_malformed_witness_by_its_position(field, value, reason):
-    # unchecked, the first five would raise inside the verifier, on unpacking
-    # or in hfk_top_rank; the last three would verify, though from_json
-    # refuses the JSON of their record
-    cert = build_certificate(3, 100)
-    cw = cert.witnesses[0]
+def test_verify_refuses_a_malformed_witness_by_its_position(field, value, error, message):
+    # refused when the record is made: unchecked, the first five would raise
+    # inside the verifier, on unpacking or in hfk_top_rank, and the last three
+    # would verify, though from_json refuses the JSON of their record
+    cw = build_certificate(3, 100).witnesses[0]
     fields = {"witness": cw.witness, "rank": cw.rank, "factorization": cw.factorization}
-    ws = (CertifiedWitness(**{**fields, field: value}, max_prime=cw.max_prime),)
-    ws += cert.witnesses[1:]
-    tampered = IndependenceCertificate(ws, cert.selected_primes, cert.evaluation)
-    assert verify_certificate(tampered) == VerificationResult(False, reason)
+    with pytest.raises(error) as info:
+        CertifiedWitness(**{**fields, field: value}, max_prime=cw.max_prime)
+    assert str(info.value).startswith(message)
+
+
+@pytest.mark.parametrize(
+    "witnesses, primes, error, message",
+    [
+        ((None,), (5,), ValueError, "None is not a certified witness"),
+        (("x",), (5,), ValueError, "'x' is not a certified witness"),
+        (
+            (WitnessKnot(2),),
+            (5,),
+            ValueError,
+            "WitnessKnot(index=2, stab_count=0) is not a certified witness",
+        ),
+        (None, (5,), TypeError, "'NoneType' object is not iterable"),
+        ((certify(witness(2)),), None, TypeError, "'NoneType' object is not iterable"),
+    ],
+    ids=["no witness", "string", "bare witness knot", "no witnesses", "no primes"],
+)
+def test_certificate_refuses_a_malformed_witness_list(witnesses, primes, error, message):
+    # refused when the record is made, so the verifier never meets them
+    with pytest.raises(error) as info:
+        IndependenceCertificate(witnesses, primes, ((1,),))
+    assert str(info.value) == message
 
 
 TWELVE = build_certificate(12, 10_000)
@@ -800,6 +839,13 @@ def test_built_certificate_stores_the_cells_of_its_matrix():
         tuple(dict(cw.factorization).get(p, 0) for cw in TWELVE.witnesses)
         for p in TWELVE.selected_primes
     )
+
+
+def test_a_view_is_unequal_to_what_is_not_a_tuple():
+    # __eq__ gives way to the other operand before it takes a length
+    view = TWELVE.evaluation
+    assert not view == 5 and view != 5
+    assert view != None  # noqa: E711  (the operator is what is tested)
 
 
 def test_a_views_rows_and_cells_cannot_be_changed_in_place():

@@ -703,9 +703,12 @@ def test_rank_stabilized(capsys):
 
 def test_rank_rejects_bad_index(capsys):
     code, _, err = run_cli(capsys, "rank", "--index", "0")
-    assert code == 2
+    assert (code, err) == (2, "error: --index must be >= 1, got 0\n")
     code, _, err = run_cli(capsys, "rank", "--index", "2", "--stab", "-1")
     assert code == 2
+    # the CLI's own guard, not the size check's math domain error
+    code, _, err = run_cli(capsys, "rank", "--index", "3", "--stab", "-2")
+    assert (code, err) == (2, "error: --stab must be >= 0, got -2\n")
 
 
 def test_selftest_fast_passes_quickly(capsys):
@@ -775,7 +778,8 @@ def test_selftest_names_a_sabotaged_genus_two_route(capsys, monkeypatch):
     monkeypatch.setattr("knotrank.seifert._alexander_mod", lambda e, p: [1] + [0] * len(e))
     code, out, _ = run_cli(capsys, "selftest", "--fast")
     assert code == 1
-    assert "FAIL: pretzel box oracle" in out
+    # the first disagreement, so a later loop of the check cannot stand in for it
+    assert out == "FAIL: pretzel box oracle (routes disagree at witness index 1, stab 1)\n"
 
 
 def test_selftest_box_oracle_meets_a_dense_skew_part(capsys, monkeypatch):

@@ -55,6 +55,13 @@ def test_mul_difference_of_squares():
     assert t_minus_1 * t_plus_1 == LaurentPoly(0, (-1, 0, 1))
 
 
+@pytest.mark.parametrize("other", ["x", 1.5])
+def test_mul_by_a_non_integer_is_a_type_error(other):
+    # __mul__ gives way, so Python raises TypeError, not an AttributeError
+    with pytest.raises(TypeError):
+        LaurentPoly(0, (1, 1)) * other
+
+
 def test_normalize_factors_sign_and_shift():
     # -t^3 + t^2 - t = -t * (t^2 - t + 1)
     assert LaurentPoly(1, (-1, 1, -1)).normalize() == ONE_MINUS_T_PLUS_T2
@@ -115,6 +122,12 @@ def test_eval_at_one():
 def test_eval_at_zero_pole():
     with pytest.raises(PoleAtZero):
         LaurentPoly(-1, (1, 1)).eval_at(0)
+
+
+def test_eval_at_an_integer_is_an_int_with_a_negative_exponent():
+    # t^-1 + t at 1 is 2, an int, not Fraction(2, 1)
+    value = LaurentPoly(-1, (1, 0, 1)).eval_at(1)
+    assert value == 2 and type(value) is int
 
 
 def test_eval_at_is_exact_on_fractions():

@@ -141,6 +141,7 @@ def test_is_prime_near_64_bit_boundary():
 
 def test_prime_sieve_matches_oracle():
     assert prime_sieve(1) == []
+    assert prime_sieve(0) == prime_sieve(-3) == []
     assert prime_sieve(100) == simple_sieve(100)
     assert prime_sieve(10_000) == simple_sieve(10_000)
 
