@@ -9,7 +9,7 @@ those characters triangular with nonzero diagonal, hence of full rank.
 
 from __future__ import annotations
 
-from itertools import compress, starmap
+from itertools import compress, repeat
 from math import isqrt
 
 from . import numtheory, pretzel
@@ -130,18 +130,23 @@ class IndependenceCertificate(Frozen):
     """Witnesses, their strictly increasing max primes, and the evaluation matrix.
 
     ``evaluation[i][j]`` is the exponent of ``selected_primes[i]`` in the
-    rank of ``witnesses[j]``.  Any sequence of rows may be passed; it is
-    held as its ``_EvaluationView``, the read-only view over its nonzero
-    cells, which indexes, compares, hashes and prints as the tuple of
-    its row tuples.  A view is kept as it is, and any other matrix is
-    read once, here, where every entry must be an integer (``is_int``):
-    any other raises ``ValueError``, naming the first in reading order.
-    ``witnesses`` and ``selected_primes`` are stored as tuples; each
-    witness must be a ``CertifiedWitness`` (``... is not a certified
-    witness``) and each prime an integer (``json_int``'s message), else
-    ``ValueError``.  So every field of the record is checked here, in
-    the order ``from_json`` reads them, and ``verify_certificate``
-    checks only the arithmetic.
+    rank of ``witnesses[j]``: a k x k matrix for k >= 1 witnesses and k
+    primes.  Any iterable of rows may be passed, a one-shot one too; it
+    is held as its ``_EvaluationView``, the read-only view over its
+    nonzero cells, which indexes, compares, hashes and prints as the
+    tuple of its row tuples.  A view is kept as it is, and any other
+    matrix is read once, here, where every entry must be an integer
+    (``is_int``): any other raises ``ValueError``, naming the first in
+    reading order.  ``witnesses`` and ``selected_primes`` are stored as
+    tuples; each witness must be a ``CertifiedWitness`` (``... is not a
+    certified witness``) and each prime an integer (``json_int``'s
+    message), else ``ValueError``.  Once every entry is read, a record
+    with no witness raises ``ValueError("certificate is empty")``, and
+    one whose number of primes, of rows or of entries in any row is not
+    the number of witnesses raises ``ValueError("witness, prime, and
+    matrix dimensions disagree")``.  So every field and the shape of the
+    record are checked here, in the order ``from_json`` reads them, and
+    ``verify_certificate`` checks only the arithmetic.
     """
 
     __slots__ = ("witnesses", "selected_primes", "evaluation")
@@ -163,9 +168,15 @@ class IndependenceCertificate(Frozen):
         if not set(map(type, primes)) <= {int}:  # as ``_dense_cells`` scans a row
             for p in primes:
                 json_int(p, "a prime")
+        k = len(witnesses)
+        view = _EvaluationView.of(evaluation, k)
+        if not k:
+            raise ValueError("certificate is empty")
+        if view is None or len(primes) != k or len(view) != k:
+            raise ValueError("witness, prime, and matrix dimensions disagree")
         object.__setattr__(self, "witnesses", witnesses)
         object.__setattr__(self, "selected_primes", primes)
-        object.__setattr__(self, "evaluation", _EvaluationView.of(evaluation))
+        object.__setattr__(self, "evaluation", view)
 
     def to_json(self) -> dict:
         return {
@@ -178,10 +189,11 @@ class IndependenceCertificate(Frozen):
     def from_json(cls, data: dict) -> "IndependenceCertificate":
         """The record that ``data`` describes.
 
-        Its fields are checked by the constructor, as any record's are;
-        the matrix is read once, into the view of its cells that every
-        record holds (``_EvaluationView.of``).  A matrix of any shape is
-        read; ``verify_certificate`` rejects one whose dimensions disagree.
+        Its fields and its shape are checked by the constructor, as any
+        record's are; the matrix is read once, into the view of its cells
+        that every record holds (``_EvaluationView.of``).  An empty
+        certificate, or a matrix that is not k x k for k witnesses and k
+        primes, is refused with the constructor's message.
         """
         try:
             witnesses = [CertifiedWitness.from_json(w) for w in data["witnesses"]]
@@ -228,25 +240,20 @@ def _prime_cells(witnesses, primes) -> list[list[tuple[int, int]]]:
 
 
 def _csv_lines(cert: IndependenceCertificate) -> Iterator[str]:
-    """The lines of ``cert.to_csv()``, each ending in a newline, one row at a time.
-
-    A row's comma goes by its width, not its text: a row of one empty
-    string has a comma and no text.
-    """
+    """The lines of ``cert.to_csv()``, each ending in a newline, one row at a time."""
     header = ["prime"] + [f"witness_{cw.witness.index}" for cw in cert.witnesses]
     yield ",".join(header) + "\n"
-    view = cert.evaluation
-    for p, (k, _), text in zip(cert.selected_primes, view.rows, _joined_rows(view, ",")):
-        yield f"{p},{text}\n" if k else f"{p}\n"
+    for p, text in zip(cert.selected_primes, _joined_rows(cert.evaluation, ",")):
+        yield f"{p},{text}\n"
 
 
 class _EvaluationView(Frozen):
-    """A read-only evaluation matrix, stored as the nonzero cells of its rows.
+    """A read-only square evaluation matrix, stored as the nonzero cells of its rows.
 
-    ``rows[i]`` is ``(width, cells)``: row i has ``width`` entries, its
-    cells ``(j, v)``, j ascending and below ``width``, each v a nonzero
-    int, and 0 at every other position; ``rows`` and each row's cells
-    are tuples.  So a matrix has one view, and two views are equal when
+    ``rows[i]`` is the tuple of the cells ``(j, v)`` of row i, j
+    ascending and below ``len(rows)``, each v a nonzero int; every other
+    entry is 0, and each row has ``len(rows)`` entries, the width of the
+    view.  So a square matrix has one view, and two views are equal when
     their rows are.  The view stands for the tuple of its row tuples: it
     indexes, iterates, compares equal, hashes and prints as that tuple
     does, and builds a dense row only when one is asked for.  It pickles
@@ -254,28 +261,36 @@ class _EvaluationView(Frozen):
     """
 
     __slots__ = ("rows",)
-    rows: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
+    rows: tuple[tuple[tuple[int, int], ...], ...]
 
     def __init__(self, rows) -> None:
-        object.__setattr__(self, "rows", tuple((k, tuple(cells)) for k, cells in rows))
+        object.__setattr__(self, "rows", tuple(map(tuple, rows)))
 
     @classmethod
-    def of(cls, matrix) -> "_EvaluationView":
-        """``matrix`` if it is a view, else the view of its rows, read once by ``_dense_cells``."""
+    def of(cls, matrix, k: int) -> "_EvaluationView | None":
+        """``matrix`` if it is a view, else the view of its rows; None if a row's length is not k.
+
+        The rows are read once, by ``_dense_cells``, which takes a row's
+        length in the pass that reads its entries, so a one-shot iterable
+        of rows is judged as the tuple of them is.  Every row is read
+        before None is returned, so the first entry that is not an int
+        is named before any shape fault.
+        """
         if type(matrix) is cls:
             return matrix
-        return cls([_dense_cells(row) for row in matrix])
+        rows = [_dense_cells(row, k) for row in matrix]
+        return None if None in rows else cls(rows)
 
     def __len__(self) -> int:
         return len(self.rows)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return tuple(starmap(_dense_row, self.rows[index]))
-        return _dense_row(*self.rows[index])
+            return tuple(map(_dense_row, repeat(len(self.rows)), self.rows[index]))
+        return _dense_row(len(self.rows), self.rows[index])
 
     def __iter__(self) -> Iterator[tuple]:
-        return starmap(_dense_row, self.rows)
+        return map(_dense_row, repeat(len(self.rows)), self.rows)
 
     def __eq__(self, other):
         if isinstance(other, _EvaluationView):
@@ -299,8 +314,8 @@ def _dense_row(k: int, cells) -> tuple:
     return tuple(row)
 
 
-def _dense_cells(row) -> tuple[int, list[tuple[int, int]]]:
-    """``(width, cells)`` of a dense row: its length and its cells, j ascending.
+def _dense_cells(row, k: int) -> list[tuple[int, int]] | None:
+    """The cells of a dense row of k entries, j ascending, or None if its length is not k.
 
     Every entry must be an integer (``is_int``); the first that is not
     raises ``json_int``'s ``ValueError``.  The cells ``(j, v)`` are the
@@ -312,7 +327,7 @@ def _dense_cells(row) -> tuple[int, list[tuple[int, int]]]:
     if not set(map(type, row)) <= {int}:
         for v in row:
             json_int(v, "a matrix entry")
-    return len(row), [(j, row[j]) for j in compress(range(len(row)), row)]
+    return [(j, row[j]) for j in compress(range(k), row)] if len(row) == k else None
 
 
 def _joined_rows(view: _EvaluationView, sep: str) -> Iterator[str]:
@@ -321,16 +336,14 @@ def _joined_rows(view: _EvaluationView, sep: str) -> Iterator[str]:
     The text of an evaluation matrix, in CSV and in the JSON envelope,
     where ``json.dumps`` writes an int as ``str`` does.  A row whose
     every cell (``view.rows``) is in 0..9 is written from its cells into
-    a copy of a template of zeros and separators, made once per row
-    length: one Python step per cell, none per zero.  Any other row
-    goes through ``str`` entry by entry.
+    a copy of a template of zeros and separators, made once per view,
+    whose every row has ``len(view)`` entries: one Python step per cell,
+    none per zero.  Any other row goes through ``str`` entry by entry.
     """
     step = len(sep) + 1
-    width = None
-    for k, cells in view.rows:
-        if k != width:
-            width = k
-            zeros = sep.join("0" * k).encode()
+    k = len(view)
+    zeros = sep.join("0" * k).encode()
+    for cells in view.rows:
         text = bytearray(zeros)
         for j, v in cells:
             if not 0 <= v <= 9:
@@ -469,8 +482,7 @@ def build_certificate(count: int, search_limit: int) -> IndependenceCertificate:
             f"found only {len(kept)} of {count} witnesses with indices <= {search_limit}"
         )
     primes = tuple(cw.max_prime for cw in kept)
-    rows = [(count, cells) for cells in _prime_cells(kept, primes)]
-    return IndependenceCertificate(kept, primes, _EvaluationView(rows))
+    return IndependenceCertificate(kept, primes, _EvaluationView(_prime_cells(kept, primes)))
 
 
 def verify_certificate(cert: IndependenceCertificate) -> VerificationResult:
@@ -484,14 +496,14 @@ def verify_certificate(cert: IndependenceCertificate) -> VerificationResult:
     which is not 0, so the shape alone proves full rank over the
     rationals and no rank computation is needed.
 
-    The checks are arithmetic only: every number the record holds is an
-    integer, each witness a ``WitnessKnot`` and each factorization a
-    tuple of pairs, since the records refuse any other value when they
-    are made.
+    The checks are arithmetic only: the record is a non-empty k x k
+    certificate, every number it holds is an integer, each witness a
+    ``WitnessKnot`` and each factorization a tuple of pairs, since the
+    records refuse any other shape or value when they are made.
 
     The cost is linear in the input.  Each matrix row is read as the
     cells that every record holds (``evaluation.rows``), each a nonzero
-    int, so the shape takes one step per row, from its first cell, and
+    int, so the triangle takes one step per row, from its first cell, and
     the entries one comparison of the row's cells with the cells the
     factorizations give, plus one step per factor of a selected prime:
     no dense row is built.  Each distinct prime, selected or factor,
@@ -504,17 +516,12 @@ def verify_certificate(cert: IndependenceCertificate) -> VerificationResult:
 
     ws = cert.witnesses
     primes = cert.selected_primes
-    k = len(ws)
-    if k == 0:
-        return fail("certificate is empty")
     rows = cert.evaluation.rows
-    if len(primes) != k or len(rows) != k or any(width != k for width, _ in rows):
-        return fail("witness, prime, and matrix dimensions disagree")
-    for i in range(1, k):
+    for i in range(1, len(primes)):
         if primes[i] <= primes[i - 1]:
             return fail(f"selected primes are not strictly increasing at position {i}")
     # every cell is a nonzero int, so a row's first cell decides its shape
-    for i, (_, cells) in enumerate(rows):
+    for i, cells in enumerate(rows):
         j, v = cells[0] if cells else (i, 0)
         if j < i:
             return fail(f"triangularity violated at evaluation[{i}][{j}]")
@@ -556,7 +563,7 @@ def verify_certificate(cert: IndependenceCertificate) -> VerificationResult:
     # The checks above make the selected primes, and each witness's factors,
     # distinct, and every exponent at least 1, so row i must hold the cells
     # of primes[i] and a zero everywhere else.
-    for i, ((_, cells), expected) in enumerate(zip(rows, map(tuple, _prime_cells(ws, primes)))):
+    for i, (cells, expected) in enumerate(zip(rows, map(tuple, _prime_cells(ws, primes)))):
         if cells != expected:
             got, want = dict(cells), dict(expected)
             wrong = [j for j in got.keys() | want.keys() if got.get(j, 0) != want.get(j, 0)]

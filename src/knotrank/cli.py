@@ -119,9 +119,9 @@ def _certificate_json(cert: characters.IndependenceCertificate, verified: bool) 
     yield _CERTIFICATE_HEAD
     lead = "[\n      "
     for text in characters._joined_rows(cert.evaluation, ",\n        "):
-        yield f"{lead}[\n        {text}\n      ]" if text else f"{lead}[]"
+        yield f"{lead}[\n        {text}\n      ]"
         lead = ",\n      "
-    yield "\n    ]" if cert.evaluation else "[]"
+    yield "\n    ]"
     witnesses = []
     for cw in cert.witnesses:
         w = cw.witness

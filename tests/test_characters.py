@@ -478,11 +478,38 @@ def test_verify_rejects_composite_selected_prime():
 
 
 def test_verify_rejects_shape_mismatch_and_empty():
+    # no such record reaches the verifier: each is refused when it is made
     cert = verified_certificate(2, 100)
-    assert not verify_certificate(
-        IndependenceCertificate(cert.witnesses, cert.selected_primes[:1], cert.evaluation)
-    )
-    assert not verify_certificate(IndependenceCertificate((), (), ()))
+    ws, primes, matrix = cert.witnesses, cert.selected_primes, tuple(cert.evaluation)
+    dimensions = "witness, prime, and matrix dimensions disagree"
+    for fields, message in [
+        ((ws, primes[:1], cert.evaluation), dimensions),
+        ((ws[:1], primes, matrix), dimensions),
+        ((ws, primes, matrix[:1]), dimensions),
+        ((ws, primes, (matrix[0], matrix[1][:1])), dimensions),
+        ((ws, primes, (matrix[0], (*matrix[1], 0))), dimensions),
+        ((ws, primes, (*matrix, (0, 0))), dimensions),
+        ((ws, primes, characters._EvaluationView(cert.evaluation.rows[:1])), dimensions),
+        (((), (), ()), "certificate is empty"),
+        (((), (5,), ((1,),)), "certificate is empty"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            IndependenceCertificate(*fields)
+        assert str(info.value) == message
+
+
+def test_a_one_shot_iterable_of_rows_is_read_as_the_tuple_of_them():
+    # each row's length is taken as its entries are read: a second pass
+    # over a generator would see no rows, and pass a ragged matrix
+    cert = verified_certificate(3, 100)
+    ws, primes, matrix = cert.witnesses, cert.selected_primes, tuple(cert.evaluation)
+    ragged = (matrix[0], matrix[1][:2], matrix[2])
+    with pytest.raises(ValueError) as info:
+        IndependenceCertificate(ws, primes, (row for row in ragged))
+    assert str(info.value) == "witness, prime, and matrix dimensions disagree"
+    read = IndependenceCertificate(ws, primes, (row for row in matrix))
+    assert read == IndependenceCertificate(ws, primes, matrix) == cert
+    assert read.evaluation.rows == cert.evaluation.rows
 
 
 def test_verify_rejects_recomputed_entry_mismatch():
@@ -830,11 +857,11 @@ def test_a_matrix_entry_must_be_an_integer(witnesses, primes, matrix, entry):
 
 def test_built_certificate_stores_the_cells_of_its_matrix():
     rows = TWELVE.evaluation.rows
-    k = len(TWELVE.witnesses)
     assert type(TWELVE.evaluation) is characters._EvaluationView
+    assert len(TWELVE.evaluation) == len(TWELVE.witnesses)
     cells = characters._prime_cells(TWELVE.witnesses, TWELVE.selected_primes)
-    assert rows == tuple((k, tuple(row)) for row in cells)
-    assert all(type(cells) is tuple for _, cells in rows)
+    assert rows == tuple(tuple(row) for row in cells)
+    assert all(type(cells) is tuple for cells in rows)
     assert TWELVE.evaluation == tuple(
         tuple(dict(cw.factorization).get(p, 0) for cw in TWELVE.witnesses)
         for p in TWELVE.selected_primes
@@ -854,9 +881,9 @@ def test_a_views_rows_and_cells_cannot_be_changed_in_place():
     rows = cert.evaluation.rows
     before = (hash(cert), verify_certificate(cert))
     with pytest.raises(TypeError):
-        rows[0] = (12, ())
+        rows[0] = ()
     with pytest.raises(TypeError):
-        rows[0][1][0] = (0, 2)
+        rows[0][0] = (0, 2)
     with pytest.raises(AttributeError):
         cert.evaluation.rows = ()
     assert cert == TWELVE and (hash(cert), verify_certificate(cert)) == before
@@ -869,7 +896,7 @@ def test_verify_gives_a_tampered_view_the_reason_of_the_same_tampered_tuple(whic
     # matrix they stand for, is refused for the same reason
     cert = TWELVE if which == "greedy" else DENSE
     k = len(cert.selected_primes)
-    cells = [list(row) for _, row in cert.evaluation.rows]
+    cells = [list(row) for row in cert.evaluation.rows]
     matrix = [list(row) for row in cert.evaluation]
     i = data.draw(st.integers(0, k - 1), label="row")
     kind = data.draw(
@@ -894,7 +921,7 @@ def test_verify_gives_a_tampered_view_the_reason_of_the_same_tampered_tuple(whic
         v = data.draw(st.integers(1, 50), label="entry")
         cells[i] = sorted(cells[i] + [(j, v)])
         matrix[i][j] = v
-    view = characters._EvaluationView([(k, row) for row in cells])
+    view = characters._EvaluationView(cells)
     dense = tuple(map(tuple, matrix))
     assert view == dense
     ws, primes = cert.witnesses, cert.selected_primes

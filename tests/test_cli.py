@@ -1,4 +1,5 @@
 import copy
+import functools
 import hashlib
 import io
 import json
@@ -526,8 +527,6 @@ def hand_built_certificates():
             build((rank_one, *real.witnesses), (1, 5, 13), ((0, 0, 0),) * 3),
             False,
         ),
-        "empty certificate": (build((), (), ()), False),
-        "empty row": (build((), (5,), ((),)), False),
     }
 
 
@@ -539,7 +538,13 @@ NON_INT_MATRICES = {
     "bool, float and NaN entries": ((True, 0.5), (float("nan"), 1)),
     "bool entries in int rows": ((True, 0), (False, 1)),
 }
-HAND_BUILT = sorted([*hand_built_certificates(), *NON_INT_MATRICES])
+# records that no one can make, each with its witnesses, primes, matrix and
+# the constructor's message: a certificate has k >= 1 witnesses
+REFUSED_RECORDS = {
+    "empty certificate": (((), (), ()), "certificate is empty"),
+    "empty row": (((), (5,), ((),)), "certificate is empty"),
+}
+HAND_BUILT = sorted([*hand_built_certificates(), *NON_INT_MATRICES, *REFUSED_RECORDS])
 
 
 def refused_entry(matrix) -> str:
@@ -559,6 +564,14 @@ def test_certificate_writer_matches_json_dumps_on_hand_built_records(name):
         with pytest.raises(ValueError) as info:
             characters.IndependenceCertificate.from_json(result)
         assert str(info.value) == f"malformed certificate JSON: {refused_entry(matrix)}"
+        return
+    if name in REFUSED_RECORDS:
+        # no record can be written, and the JSON of its fields is refused when it is read
+        (witnesses, primes, matrix), message = REFUSED_RECORDS[name]
+        result = {"witnesses": list(witnesses), "primes": list(primes), "matrix": matrix}
+        with pytest.raises(ValueError) as info:
+            characters.IndependenceCertificate.from_json(result)
+        assert str(info.value) == f"malformed certificate JSON: {message}"
         return
     cert, verified = hand_built_certificates()[name]
     assert "".join(cli._certificate_json(cert, verified)) == certificate_envelope(cert, verified)
@@ -582,6 +595,12 @@ def test_certificate_csv_matches_str_join_on_hand_built_records(name):
             characters.IndependenceCertificate(real.witnesses, (5, 13), matrix)
         assert str(info.value) == refused_entry(matrix)
         return
+    if name in REFUSED_RECORDS:
+        fields, message = REFUSED_RECORDS[name]
+        with pytest.raises(ValueError) as info:
+            characters.IndependenceCertificate(*fields)
+        assert str(info.value) == message
+        return
     cert, _ = hand_built_certificates()[name]
     assert cert.to_csv() == certificate_csv(cert, cert.evaluation)
 
@@ -589,11 +608,14 @@ def test_certificate_csv_matches_str_join_on_hand_built_records(name):
 # every kind of entry a hand-built or malformed matrix can hold: the int 0,
 # digits, longer and negative ints, and the values that are no int but
 # are falsy or equal to one
-ENTRIES = st.one_of(
+INTS = st.one_of(
     st.just(0),
     st.integers(1, 9),
     st.integers(min_value=10),
     st.integers(max_value=-1),
+)
+ENTRIES = st.one_of(
+    INTS,
     st.none(),
     st.booleans(),
     st.sampled_from([0.0, -0.0, float("nan")]),
@@ -601,27 +623,55 @@ ENTRIES = st.one_of(
 )
 
 
+def square_matrices(entries):
+    """k x k matrices of ``entries``, k from 1 to 12."""
+    return st.integers(1, 12).flatmap(
+        lambda k: st.lists(st.lists(entries, min_size=k, max_size=k), min_size=k, max_size=k)
+    )
+
+
+# square matrices of ints and of any entries, and matrices of any shape
+MATRICES = st.one_of(
+    square_matrices(INTS),
+    square_matrices(ENTRIES),
+    st.lists(st.lists(ENTRIES, max_size=12), max_size=12),
+)
+
+
+@functools.lru_cache(maxsize=None)
+def greedy_witnesses(k: int) -> tuple:
+    return characters.build_certificate(k, 10_000).witnesses
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(st.lists(st.lists(ENTRIES, max_size=12), max_size=12), st.booleans())
+@given(MATRICES, st.booleans())
 @example([], True)
+@example([[1]], True)
 @example([[], [0, 0.0, -0.0, False, None, ""]], False)
 @example([[""]], False)  # one empty string: no int, though str writes it as no text
+@example([[0, 1], [2]], False)  # ragged
 def test_any_matrix_is_held_as_its_cells_and_written_as_its_rows(m, verified):
-    real = characters.build_certificate(2, 10)
-    primes = tuple(range(5, 5 + len(m)))
+    # k rows are drawn over k witnesses and k primes; no rows, over one of each
+    k = max(len(m), 1)
+    witnesses, primes = greedy_witnesses(k), tuple(range(5, 5 + k))
     bad = [v for r in m for v in r if type(v) is not int]
     if bad:
-        # the first entry that is no int, in reading order, is named
+        # the first entry that is no int, in reading order, is named before the shape
         with pytest.raises(ValueError) as info:
-            characters.IndependenceCertificate(real.witnesses, primes, m)
+            characters.IndependenceCertificate(witnesses, primes, m)
         assert str(info.value) == f"a matrix entry must be an integer, got {reprlib.repr(bad[0])}"
         return
-    cert = characters.IndependenceCertificate(real.witnesses, primes, m)
+    if len(m) != k or any(len(r) != k for r in m):
+        with pytest.raises(ValueError) as info:
+            characters.IndependenceCertificate(witnesses, primes, m)
+        assert str(info.value) == "witness, prime, and matrix dimensions disagree"
+        return
+    cert = characters.IndependenceCertificate(witnesses, primes, m)
     view, dense = cert.evaluation, tuple(map(tuple, m))
     assert type(view) is characters._EvaluationView
     assert view == dense and dense == view and not view != dense
     assert hash(view) == hash(dense) and repr(view) == repr(dense)
-    assert view.rows == tuple((len(r), tuple((j, v) for j, v in enumerate(r) if v)) for r in m)
+    assert view.rows == tuple(tuple((j, v) for j, v in enumerate(r) if v) for r in m)
     for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
         back = pickle.loads(pickle.dumps(cert, protocol))
         assert type(back.evaluation) is characters._EvaluationView

@@ -88,10 +88,15 @@ def test_read_count_300_envelope_is_the_built_record(capsys):
     ],
 )
 def test_read_matrix_of_any_shape_keeps_its_verdict(change, reason):
-    # A ragged or non-square matrix is read into the view of its cells,
-    # which keeps each row's width, so the verifier still names its dimensions.
+    # A ragged or non-square matrix is refused when it is read, with the
+    # constructor's message; a square one is read and keeps its verdict.
     data = through_text(build_certificate(3, 100).to_json())
     change(data["matrix"])
+    if reason == "witness, prime, and matrix dimensions disagree":
+        with pytest.raises(ValueError) as info:
+            IndependenceCertificate.from_json(data)
+        assert str(info.value) == f"malformed certificate JSON: {reason}"
+        return
     cert = IndependenceCertificate.from_json(data)
     assert cert.evaluation == tuple(tuple(row) for row in data["matrix"])
     assert hash(cert.evaluation) == hash(tuple(tuple(row) for row in data["matrix"]))

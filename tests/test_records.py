@@ -113,7 +113,7 @@ def test_pickle_and_copy_round_trip(record, fields, text):
 def cell_backed_certificates():
     # rank 25 = 5^2 and rank 85 = 5 * 17: an exponent of two and an entry above the diagonal
     ws = (certify(witness(4)), certify(witness(7)))
-    rows = [(2, cells) for cells in characters._prime_cells(ws, (5, 17))]
+    rows = characters._prime_cells(ws, (5, 17))
     return {
         "built": build_certificate(6, 100),
         "entry above the diagonal": IndependenceCertificate(
