@@ -133,9 +133,11 @@ class IndependenceCertificate(Frozen):
     rank of ``witnesses[j]``: a k x k matrix for k >= 1 witnesses and k
     primes.  Any iterable of rows may be passed, a one-shot one too; it
     is held as its ``_EvaluationView``, the read-only view over its
-    nonzero cells, which indexes, compares, hashes and prints as the
-    tuple of its row tuples.  A view is kept as it is, and any other
-    matrix is read once, here, where every entry must be an integer
+    nonzero cells, which equals a view with the same cells and is
+    hashed by them, and indexes, iterates and prints as the tuple of
+    its row tuples; ``tuple(cert.evaluation)`` is that tuple.  A view
+    is kept when every cell's column is in 0..k-1, and any other matrix
+    is read once, here, where every entry must be an integer
     (``is_int``): any other raises ``ValueError``, naming the first in
     reading order.  ``witnesses`` and ``selected_primes`` are stored as
     tuples; each witness must be a ``CertifiedWitness`` (``... is not a
@@ -143,9 +145,10 @@ class IndependenceCertificate(Frozen):
     message), else ``ValueError``.  Once every entry is read, a record
     with no witness raises ``ValueError("certificate is empty")``, and
     one whose number of primes, of rows or of entries in any row is not
-    the number of witnesses raises ``ValueError("witness, prime, and
-    matrix dimensions disagree")``.  So every field and the shape of the
-    record are checked here, in the order ``from_json`` reads them, and
+    the number of witnesses, or a view with a cell at a column outside
+    0..k-1, raises ``ValueError("witness, prime, and matrix dimensions
+    disagree")``.  So every field and the shape of the record are
+    checked here, in the order ``from_json`` reads them, and
     ``verify_certificate`` checks only the arithmetic.
     """
 
@@ -253,11 +256,12 @@ class _EvaluationView(Frozen):
     ``rows[i]`` is the tuple of the cells ``(j, v)`` of row i, j
     ascending and below ``len(rows)``, each v a nonzero int; every other
     entry is 0, and each row has ``len(rows)`` entries, the width of the
-    view.  So a square matrix has one view, and two views are equal when
-    their rows are.  The view stands for the tuple of its row tuples: it
-    indexes, iterates, compares equal, hashes and prints as that tuple
-    does, and builds a dense row only when one is asked for.  It pickles
-    as its rows.
+    view.  So a square matrix has one view.  It is a record like any
+    other: two views are equal when their rows are, it is hashed by its
+    rows, one step per cell, and it never equals a tuple.  It indexes,
+    iterates and prints as the tuple of its row tuples, which
+    ``tuple(view)`` gives, and builds a dense row only when one is asked
+    for.  It pickles as its rows.
     """
 
     __slots__ = ("rows",)
@@ -268,16 +272,19 @@ class _EvaluationView(Frozen):
 
     @classmethod
     def of(cls, matrix, k: int) -> "_EvaluationView | None":
-        """``matrix`` if it is a view, else the view of its rows; None if a row's length is not k.
+        """``matrix`` if it is a view, else the view of its rows; None if it does not fit k x k.
 
-        The rows are read once, by ``_dense_cells``, which takes a row's
-        length in the pass that reads its entries, so a one-shot iterable
-        of rows is judged as the tuple of them is.  Every row is read
-        before None is returned, so the first entry that is not an int
-        is named before any shape fault.
+        A view fits when every cell's column is in 0..k-1; its number of
+        rows is left to the caller.  Any other matrix fits when each
+        row's length is k.  Its rows are read once, by ``_dense_cells``,
+        which takes a row's length in the pass that reads its entries,
+        so a one-shot iterable of rows is judged as the tuple of them
+        is.  Every row is read before None is returned, so the first
+        entry that is not an int is named before any shape fault.
         """
         if type(matrix) is cls:
-            return matrix
+            fits = all(0 <= j < k for cells in matrix.rows for j, _ in cells)
+            return matrix if fits else None
         rows = [_dense_cells(row, k) for row in matrix]
         return None if None in rows else cls(rows)
 
@@ -291,16 +298,6 @@ class _EvaluationView(Frozen):
 
     def __iter__(self) -> Iterator[tuple]:
         return map(_dense_row, repeat(len(self.rows)), self.rows)
-
-    def __eq__(self, other):
-        if isinstance(other, _EvaluationView):
-            return self.rows == other.rows
-        if not isinstance(other, tuple):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
 
     def __repr__(self) -> str:
         return repr(tuple(self))

@@ -669,8 +669,9 @@ def test_any_matrix_is_held_as_its_cells_and_written_as_its_rows(m, verified):
     cert = characters.IndependenceCertificate(witnesses, primes, m)
     view, dense = cert.evaluation, tuple(map(tuple, m))
     assert type(view) is characters._EvaluationView
-    assert view == dense and dense == view and not view != dense
-    assert hash(view) == hash(dense) and repr(view) == repr(dense)
+    # the view is a record, equal to no tuple, and prints as its dense tuple
+    assert tuple(view) == dense and view != dense and dense != view
+    assert repr(view) == repr(dense)
     assert view.rows == tuple(tuple((j, v) for j, v in enumerate(r) if v) for r in m)
     for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
         back = pickle.loads(pickle.dumps(cert, protocol))
@@ -699,7 +700,7 @@ def test_certificate_command_builds_no_dense_row(capsys, monkeypatch, tmp_path, 
 
 
 def test_a_read_record_equals_the_built_one_without_a_dense_row(monkeypatch):
-    # two views compare by their cells; a dense row has k entries, and k = 2000
+    # two views compare and hash by their cells; a dense row has k entries, and k = 2000
     built = characters.build_certificate(2000, 100_000)
     envelope = json.loads("".join(cli._certificate_json(built, True)))
     read = characters.IndependenceCertificate.from_json(envelope["result"])
@@ -710,6 +711,9 @@ def test_a_read_record_equals_the_built_one_without_a_dense_row(monkeypatch):
     monkeypatch.setattr(characters, "_dense_row", refuse)
     assert read == built and built == read and not read != built
     assert read.evaluation.rows == built.evaluation.rows
+    assert hash(read) == hash(built) and len({read, built}) == 1
+    for back in (pickle.loads(pickle.dumps(read)), copy.deepcopy(read)):
+        assert back == built and hash(back) == hash(built)
 
 
 def test_certificate_json_calls_no_generic_encoder(capsys, monkeypatch):

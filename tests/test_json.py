@@ -98,8 +98,8 @@ def test_read_matrix_of_any_shape_keeps_its_verdict(change, reason):
         assert str(info.value) == f"malformed certificate JSON: {reason}"
         return
     cert = IndependenceCertificate.from_json(data)
-    assert cert.evaluation == tuple(tuple(row) for row in data["matrix"])
-    assert hash(cert.evaluation) == hash(tuple(tuple(row) for row in data["matrix"]))
+    dense = tuple(tuple(row) for row in data["matrix"])
+    assert tuple(cert.evaluation) == dense and cert.evaluation != dense
     assert verify_certificate(cert).reason == reason
 
 

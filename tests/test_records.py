@@ -1,4 +1,4 @@
-"""Value semantics shared by knotrank's seven record classes.
+"""Value semantics shared by knotrank's seven record classes and the evaluation view.
 
 Each record is an immutable value: its fields are fixed at construction,
 two records are equal exactly when they have the same class and equal
@@ -56,6 +56,8 @@ RECORDS = [
         "max_prime=5),), selected_primes=(5,), evaluation=((1,),))",
     ),
     (VerificationResult(False, "x"), ("ok", "reason"), "VerificationResult(ok=False, reason='x')"),
+    # a certificate's evaluation is a record too, printed as its dense tuple
+    (characters._EvaluationView((((0, 1),),)), ("rows",), "((1,),)"),
 ]
 IDS = [type(record).__name__ for record, _, _ in RECORDS]
 
@@ -132,9 +134,11 @@ def test_a_cell_backed_certificate_is_the_record_of_its_dense_matrix(name):
     # the dense matrix is read into the same cells
     assert type(dense.evaluation) is characters._EvaluationView
     assert dense.evaluation.rows == view.rows
-    assert view == matrix and matrix == view and not view != matrix and not matrix != view
+    # the view is a record, equal to the view of the same cells and to no tuple
+    assert tuple(view) == matrix and view != matrix and matrix != view
+    assert view == dense.evaluation and not view != dense.evaluation
     assert cert == dense and dense == cert and not cert != dense
-    assert hash(view) == hash(matrix) and hash(cert) == hash(dense)
+    assert hash(view) == hash(dense.evaluation) and hash(cert) == hash(dense)
     assert len({cert, dense}) == 1
     assert repr(view) == repr(matrix) and repr(cert) == repr(dense)
     assert cert.to_json() == dense.to_json()
@@ -149,10 +153,12 @@ def test_a_cell_backed_certificate_is_the_record_of_its_dense_matrix(name):
         assert view[index] == matrix[index]
     with pytest.raises(IndexError):
         view[len(matrix)]
-    # and it is no more equal than the tuple is
-    assert view != [list(row) for row in matrix] and view != matrix[:-1]
+    # and it is unequal to a view of other cells
+    assert view != [list(row) for row in matrix]
+    assert view != characters._EvaluationView(view.rows[:-1])
     changed = ((matrix[0][0] + 1, *matrix[0][1:]), *matrix[1:])
-    assert view != changed and changed != view
+    other = IndependenceCertificate(cert.witnesses, cert.selected_primes, changed).evaluation
+    assert view != other and other != view
     with pytest.raises(AttributeError):
         view.rows = ()
 
@@ -167,11 +173,12 @@ CLASS_PROBE = f"""
 import copy, json, pickle, sys
 sys.path.insert(0, {str(SRC)!r})
 from knotrank import *
+from knotrank.characters import _EvaluationView
 cw = certify(witness(2))
 records = [
     LaurentPoly(-1, (1, 0, 2)), PretzelKnot(1, 2, 3), WitnessKnot(2),
     SeifertMatrix(((1, 0), (1, 1))), cw, IndependenceCertificate((cw,), (5,), ((1,),)),
-    VerificationResult(False, "x"),
+    VerificationResult(False, "x"), _EvaluationView((((0, 1),),)),
 ]
 before = {{type(r): dict(vars(type(r))) for r in records}}
 for r in records:
@@ -197,7 +204,7 @@ def test_records_never_rewrite_their_classes():
         [sys.executable, "-I", "-c", CLASS_PROBE], capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == {"classes": 7, "changed": []}
+    assert json.loads(proc.stdout) == {"classes": 8, "changed": []}
 
 
 def test_keyword_construction():
