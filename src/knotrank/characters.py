@@ -136,7 +136,7 @@ class IndependenceCertificate(Frozen):
     nonzero cells, which equals a view with the same cells and is
     hashed by them, and indexes, iterates and prints as the tuple of
     its row tuples; ``tuple(cert.evaluation)`` is that tuple.  A view
-    is kept when every cell's column is in 0..k-1, and any other matrix
+    is kept when its cells are a k x k matrix's, and any other matrix
     is read once, here, where every entry must be an integer
     (``is_int``): any other raises ``ValueError``, naming the first in
     reading order.  ``witnesses`` and ``selected_primes`` are stored as
@@ -145,8 +145,8 @@ class IndependenceCertificate(Frozen):
     message), else ``ValueError``.  Once every entry is read, a record
     with no witness raises ``ValueError("certificate is empty")``, and
     one whose number of primes, of rows or of entries in any row is not
-    the number of witnesses, or a view with a cell at a column outside
-    0..k-1, raises ``ValueError("witness, prime, and matrix dimensions
+    the number of witnesses, or a view whose cells are no k x k
+    matrix's, raises ``ValueError("witness, prime, and matrix dimensions
     disagree")``.  So every field and the shape of the record are
     checked here, in the order ``from_json`` reads them, and
     ``verify_certificate`` checks only the arithmetic.
@@ -274,7 +274,10 @@ class _EvaluationView(Frozen):
     def of(cls, matrix, k: int) -> "_EvaluationView | None":
         """``matrix`` if it is a view, else the view of its rows; None if it does not fit k x k.
 
-        A view fits when every cell's column is in 0..k-1; its number of
+        A view fits when its cells are those ``_dense_cells`` gives a row
+        of k entries: in each row, pairs ``(j, v)`` of ints, v nonzero
+        and j strictly ascending in 0..k-1, judged at one step per cell.
+        So a kept view is the one view of its matrix.  Its number of
         rows is left to the caller.  Any other matrix fits when each
         row's length is k.  Its rows are read once, by ``_dense_cells``,
         which takes a row's length in the pass that reads its entries,
@@ -283,8 +286,16 @@ class _EvaluationView(Frozen):
         entry that is not an int is named before any shape fault.
         """
         if type(matrix) is cls:
-            fits = all(0 <= j < k for cells in matrix.rows for j, _ in cells)
-            return matrix if fits else None
+            for cells in matrix.rows:
+                last = -1
+                for cell in cells:
+                    if type(cell) is not tuple or len(cell) != 2:
+                        return None
+                    j, v = cell
+                    if type(j) is not int or type(v) is not int or not last < j < k or not v:
+                        return None
+                    last = j
+            return matrix
         rows = [_dense_cells(row, k) for row in matrix]
         return None if None in rows else cls(rows)
 

@@ -21,7 +21,7 @@ from .seifert import SeifertMatrix
 # characters and numtheory are imported by the code that runs them, so
 # alexander, fibered and rank never load them.  Annotations are never
 # evaluated, so the names in them (characters, and collections.abc's
-# Iterable, Iterator and Sequence) need no import here.
+# Callable, Iterable, Iterator and Sequence) need no import here.
 
 SCHEMA_VERSION = "1"
 
@@ -58,9 +58,29 @@ def _emit(args, result: dict, text: str) -> None:
         _write([text])
 
 
-# The certificate envelope, laid out as json.dumps(..., sort_keys=True,
-# indent=2) lays it out: each template sits at the depth where the
-# envelope nests it (see _certificate_json).
+# The witness and certificate envelopes, laid out as json.dumps(...,
+# sort_keys=True, indent=2) lays them out: every leaf of theirs is an int,
+# which json.dumps writes as str does, so they are written from these
+# templates, each at the depth where its envelope nests it.  An envelope
+# with a string leaf goes through json.dumps, the one string escaper.
+_WITNESS_ENVELOPE = """{
+  "command": "witness",
+  "result": {
+    "factorization": %s,
+    "m": %d,
+    "n": %d,
+    "pretzel": [
+      %d,
+      %d,
+      %d
+    ],
+    "prime": %d,
+    "rank": %d,
+    "rank_mod_p": %d
+  },
+  "schema_version": "%s"
+}
+"""
 _CERTIFICATE_HEAD = """{
   "command": "certificate",
   "result": {
@@ -73,7 +93,7 @@ _CERTIFICATE_TAIL = """,
   "schema_version": "%s"
 }
 """
-_WITNESS_JSON = """{
+_CERTIFIED_WITNESS_JSON = """{
         "factorization": %s,
         "max_prime": %d,
         "rank": %d,
@@ -89,15 +109,26 @@ _WITNESS_JSON = """{
           "top_rank": %d
         }
       }"""
-_PAIR_JSON = """[
-            %d,
-            %d
-          ]"""
 
 
 def _json_list(joined: str, pad: str) -> str:
     """A JSON list nested at ``pad``, from its items joined at ``pad`` plus two spaces."""
     return f"[{pad}  {joined}{pad}]" if joined else "[]"
+
+
+def _pairs_writer(pad: str) -> Callable[[Iterable[tuple[int, int]]], str]:
+    """The writer of a factorization's int pairs ``(q, e)`` as a JSON list nested at ``pad``.
+
+    ``pad`` is a newline and the indent of the line that holds the list.
+    The pair template is made once, here, not once per list.
+    """
+    inner = pad + "  "
+    pair, sep = f"[{inner}  %d,{inner}  %d{inner}]", f",{inner}"
+    return lambda pairs: _json_list(sep.join(map(pair.__mod__, pairs)), pad)
+
+
+_WITNESS_PAIRS = _pairs_writer("\n    ")  # the factorization in a witness envelope
+_CERTIFIED_PAIRS = _pairs_writer("\n        ")  # the factorization of a certified witness
 
 
 def _certificate_json(cert: characters.IndependenceCertificate, verified: bool) -> Iterator[str]:
@@ -125,11 +156,10 @@ def _certificate_json(cert: characters.IndependenceCertificate, verified: bool) 
     witnesses = []
     for cw in cert.witnesses:
         w = cw.witness
-        pairs = ",\n          ".join(map(_PAIR_JSON.__mod__, cw.factorization))
         witnesses.append(
-            _WITNESS_JSON
+            _CERTIFIED_WITNESS_JSON
             % (
-                _json_list(pairs, "\n        "),
+                _CERTIFIED_PAIRS(cw.factorization),
                 cw.max_prime,
                 cw.rank,
                 w.genus,
@@ -217,15 +247,12 @@ def cmd_witness(args) -> int:
     n = cw.witness.index
     m = (2 * n - 1) % p  # the pinned square root of -1 that gave n
     strands = cw.witness.strands
-    result = {
-        "prime": p,
-        "m": m,
-        "n": n,
-        "pretzel": list(strands),
-        "rank": cw.rank,
-        "factorization": [[q, e] for q, e in cw.factorization],
-        "rank_mod_p": cw.rank % p,
-    }
+    if args.json:
+        # the envelope json.dumps would lay out, without json (see _WITNESS_ENVELOPE)
+        pairs = _WITNESS_PAIRS(cw.factorization)
+        fields = (pairs, m, n, *strands, p, cw.rank, cw.rank % p, SCHEMA_VERSION)
+        _write([_WITNESS_ENVELOPE % fields])
+        return 0
     factors = " * ".join(f"{q}^{e}" if e > 1 else str(q) for q, e in cw.factorization)
     text = (
         f"prime: {p}\n"
@@ -236,7 +263,7 @@ def cmd_witness(args) -> int:
         f"factorization: {factors}\n"
         f"rank mod {p}: {cw.rank % p}\n"
     )
-    _emit(args, result, text)
+    _write([text])
     return 0
 
 

@@ -494,12 +494,47 @@ def test_verify_rejects_shape_mismatch_and_empty():
         # a view's cells must lie in its k columns, as a dense row's entries do
         ((ws, primes, characters._EvaluationView([((0, 1), (5, 1)), ((1, 1),)])), dimensions),
         ((ws, primes, characters._EvaluationView([((-1, 1),), ((1, 1),)])), dimensions),
+        # and be nonzero ints at strictly ascending columns, as a dense row's cells are
+        ((ws, primes, characters._EvaluationView([((0, 1), (1, 0)), ((1, 1),)])), dimensions),
+        ((ws, primes, characters._EvaluationView([((0, 1), (0, 1)), ((1, 1),)])), dimensions),
+        ((ws, primes, characters._EvaluationView([((1, 0), (0, 1)), ((1, 1),)])), dimensions),
         (((), (), ()), "certificate is empty"),
         (((), (5,), ((1,),)), "certificate is empty"),
     ]:
         with pytest.raises(ValueError) as info:
             IndependenceCertificate(*fields)
         assert str(info.value) == message
+
+
+VIEW_VALUES = st.one_of(st.integers(-2, 2), st.booleans())
+
+
+@st.composite
+def views(draw):
+    """k, k rows of drawn cells ``(j, v)``, and a k x k matrix of small ints."""
+    k = draw(st.integers(1, 4))
+    cell = st.tuples(st.integers(-1, k), VIEW_VALUES)
+    # a list, or a tuple of one int, is no cell
+    cells = st.lists(cell | cell.map(list) | st.tuples(st.integers(0, k)), max_size=k + 1)
+    rows = draw(st.lists(cells, min_size=k, max_size=k))
+    row = st.lists(st.integers(-2, 2), min_size=k, max_size=k)
+    return k, rows, draw(st.lists(row, min_size=k, max_size=k))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(views())
+@example((2, [[(0, 1), (1, 0)], [(1, 1)]], [[1, 0], [0, 1]]))  # a zero value
+@example((2, [[(0, 1), (0, 1)], [(1, 1)]], [[1, 0], [0, 1]]))  # a repeated column
+@example((2, [[(1, 0), (0, 1)], [(1, 1)]], [[1, 0], [0, 1]]))  # descending columns
+@example((2, [[(0, True)], [(1, 1)]], [[1, 0], [0, 1]]))  # a bool value
+@example((2, [[[0, 1]], [(1, 1)]], [[1, 0], [0, 1]]))  # a list cell
+def test_a_view_is_kept_only_as_the_view_of_its_matrix(drawn):
+    k, rows, matrix = drawn
+    view = characters._EvaluationView(rows)
+    kept = characters._EvaluationView.of(view, k)
+    assert kept is None or (kept is view and view == characters._EvaluationView.of(tuple(view), k))
+    of_matrix = characters._EvaluationView.of(matrix, k)
+    assert characters._EvaluationView.of(of_matrix, k) is of_matrix
 
 
 def test_a_one_shot_iterable_of_rows_is_read_as_the_tuple_of_them():

@@ -18,7 +18,7 @@ from unittest import mock
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
-from sympy import isprime
+from sympy import isprime, nextprime
 
 from cli_calls import run_calls
 from knotrank import characters, cli, pretzel, seifert
@@ -293,6 +293,53 @@ def test_witness_seventeen(capsys):
     assert result["rank_mod_p"] == 0
 
 
+def witness_envelope(p: int) -> str:
+    """The ``witness --prime P --json`` output, from ``witness_for_prime`` and ``json.dumps``."""
+    cw = characters.witness_for_prime(p)
+    n = cw.witness.index
+    result = {
+        "prime": p,
+        "m": (2 * n - 1) % p,
+        "n": n,
+        "pretzel": list(cw.witness.strands),
+        "rank": cw.rank,
+        "factorization": [[q, e] for q, e in cw.factorization],
+        "rank_mod_p": cw.rank % p,
+    }
+    envelope = {"schema_version": "1", "command": "witness", "result": result}
+    return json.dumps(envelope, sort_keys=True, indent=2) + "\n"
+
+
+def first_prime_one_mod_four(n: int) -> int:
+    p = nextprime(n - 1)
+    while p % 4 != 1:
+        p = nextprime(p)
+    return p
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(5, 10**12).map(first_prime_one_mod_four))
+@example(5)  # rank 25 = 5^2: an exponent above 1
+@example(13)
+@example(100000000000000013)  # its cofactor is split by Pollard rho
+def test_witness_writer_matches_json_dumps(p):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(["witness", "--prime", str(p), "--json"])
+    assert (code, out.getvalue(), err.getvalue()) == (0, witness_envelope(p), "")
+
+
+def test_witness_json_calls_no_generic_encoder(capsys, monkeypatch):
+    expected = witness_envelope(13)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the witness envelope is written from its template")
+
+    monkeypatch.setattr(json, "dumps", refuse)
+    code, out, err = run_cli(capsys, "witness", "--prime", "13", "--json")
+    assert (code, out, err) == (0, expected, "")
+
+
 def test_witness_rejects_three_mod_four(capsys):
     code, _, err = run_cli(capsys, "witness", "--prime", "7")
     assert code == 2
@@ -435,12 +482,14 @@ def test_certificate_v1_output_is_pinned_byte_for_byte(capsys, tmp_path, count, 
 
 # sha256 of the whole standard output of the other commands' --json
 # envelopes, one of each kind: a Laurent polynomial, a non-empty list of
-# strings, a list of pairs, a list of dictionaries.
+# strings, a list of pairs, a list of dictionaries, and the witness
+# envelope that is written from its template.
 ENVELOPE_SHA256 = {
     "alexander --pretzel -1,3,3": "d59c7e54fa0807f8ec4d99fef871c27e3107e10e03093655bef16f6a036598b7",
     "fibered --pretzel 1,1,3": "b8daac6025fae1f8532c12c467e744a90043bf8afd1fe9ae04750df1625ab3ec",
     "rank --index 2": "52a4f08325a89746741a6bb2e2b1c69c541dde2712a48b250302731539eb28a0",
     "selftest --fast": "7e7aac9f2bad5816a3e2bb4907bb3596dee2e0d865412f974aba1511648e428d",
+    "witness --prime 1000000009": "fdb3a5b0268429c87782c4fa742d28e0fe7273fe1f5a2716dffe3bfdfc59d9f6",
 }
 
 

@@ -4,10 +4,11 @@ Every command-line call starts a fresh interpreter, so a module the
 package imports without using is paid on every call.  ``dataclasses``
 (with ``inspect``) and ``fractions`` (with ``decimal``) once took most of
 the import time.  ``json`` loads only for ``--seifert`` input and for
-the ``--json`` output of every command but ``certificate``, whose
-envelope is written from the record for any matrix.  ``import knotrank``
-executes no submodule, the number theory and certificate modules load
-only for the commands that use them, and ``typing`` loads for none.
+the ``--json`` output of alexander, fibered, rank and selftest: the
+witness and certificate envelopes hold only ints, and are written from
+templates.  ``import knotrank`` executes no submodule, the number
+theory and certificate modules load only for the commands that use
+them, and ``typing`` loads for none.
 """
 
 import json
@@ -45,6 +46,7 @@ report["json_after_wide"] = "json" in sys.modules
 with redirect_stdout(io.StringIO()) as out:
     report["json_code"] = knotrank.cli.main(["witness", "--prime", "13", "--json"])
 report["json"] = out.getvalue()
+report["json_after_witness_json"] = "json" in sys.modules
 from knotrank import LaurentPoly
 report["pole_value"] = str(LaurentPoly(-1, (1, 1)).eval_at(2))
 report["fractions_after_pole"] = "fractions" in sys.modules
@@ -128,6 +130,12 @@ def test_certificate_json_of_entries_outside_one_digit_leaves_json_unloaded(repo
 def test_json_output_is_unchanged(report):
     assert report["json_code"] == 0
     assert report["json"] == WITNESS_13_JSON
+
+
+def test_witness_json_leaves_json_unloaded(report):
+    # its envelope is written from a template
+    assert report["json_code"] == 0
+    assert not report["json_after_witness_json"]
 
 
 # Under -S no site hook has loaded typing or any other module before
