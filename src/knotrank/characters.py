@@ -362,10 +362,9 @@ def _joined_rows(view: _EvaluationView, sep: str) -> Iterator[str]:
             yield text.decode()
 
 
-# Blocks of witness indices start this long and double up to the maximum,
-# so a short certificate sieves few indices whatever its search limit.
+# Blocks of witness indices start this long and double without a cap, so a
+# short certificate sieves few indices and a long one walks few blocks.
 _FIRST_BLOCK = 64
-_MAX_BLOCK = 1 << 14
 
 
 class _RankSieve:
@@ -382,9 +381,9 @@ class _RankSieve:
     strided slice assignment per root marks the multiples of p, except a
     rank equal to p, so a rank left unmarked is a prime.  This is the
     Eratosthenes form of the quadratic sieve's polynomial-value sieve:
-    it marks composites and divides nothing.  Its table of primes and
-    roots grows with the square root of the largest rank sieved, about
-    8 MB at index 10^6.  Primality is all the greedy of
+    it marks composites and divides nothing.  It keeps only its table of
+    roots, about 54,000 pairs and 7 MB at index 10^6; each block lists
+    the primes up to its bound afresh.  Primality is all the greedy of
     ``build_certificate`` needs.  It keeps every prime rank r(n), n >= 2,
     since every factor of an earlier rank is at most that rank, which is
     below r(n); and a composite rank's prime factors are all 1 (mod 4),
@@ -392,22 +391,15 @@ class _RankSieve:
     """
 
     def __init__(self) -> None:
-        self.primes: list[int] = []  # the primes 1 (mod 4) up to self.top, ascending
         # for each prime up to the largest bound sieved yet, the n mod p with p | r(n)
         self.roots: list[tuple[int, int]] = []
-        self.top = 1
 
     def block(self, lo: int, hi: int) -> bytearray:
         """Entry i is 1 if the rank of witness index lo + i is prime, else 0; 1 <= lo < hi."""
         largest = 2 * (hi - 1) * (hi - 2) + 1
         bound = isqrt(largest)
-        if bound > self.top:
-            # doubling keeps the total cost of the re-sieves linear
-            self.top = max(bound, 2 * self.top)
-            self.primes = numtheory.primes_one_mod_four(self.top)
-        for p in self.primes[len(self.roots) :]:
-            if p > bound:
-                break  # its roots wait for a block that sieves with it
+        primes = numtheory.primes_one_mod_four(bound)
+        for p in primes[len(self.roots) :]:
             n0 = numtheory._root_index(numtheory._pinned_root(p), p)
             self.roots.append((n0, (1 - n0) % p))
         size = hi - lo
@@ -416,9 +408,7 @@ class _RankSieve:
             flags[0] = 0  # the rank 1 is not prime
         # only a rank up to bound can equal a sieving prime
         small = 2 * lo * (lo - 1) + 1 <= bound
-        for p, pair in zip(self.primes, self.roots):
-            if p > bound:
-                break
+        for p, pair in zip(primes, self.roots):
             for root in pair:
                 start = (root - lo) % p
                 if small and 2 * (lo + start) * (lo + start - 1) + 1 == p:
@@ -433,15 +423,17 @@ class _RankSieve:
 def _rank_primality(search_limit: int):
     """Yield ``(n, 1 if the rank of n is prime else 0)`` for n = 1..search_limit.
 
-    The blocks start short and double up to a fixed length, so a caller
-    that stops early has sieved few indices, whatever the search limit.
+    The blocks start at ``_FIRST_BLOCK`` indices and double without a cap:
+    a caller that stops early has sieved few indices, and each block walks
+    the table of roots once, so the cost is linear in the index range and
+    14 blocks reach index 10^6.
     """
     sieve = _RankSieve()
     lo, size = 1, _FIRST_BLOCK
     while lo <= search_limit:
         hi = min(lo + size, search_limit + 1)
         yield from zip(range(lo, hi), sieve.block(lo, hi))
-        lo, size = hi, min(2 * size, _MAX_BLOCK)
+        lo, size = hi, 2 * size
 
 
 def build_certificate(count: int, search_limit: int) -> IndependenceCertificate:

@@ -91,21 +91,24 @@ def is_prime(x: int) -> bool:
     return True
 
 
-def prime_sieve(limit: int) -> list[int]:
-    """All primes <= limit, ascending."""
-    if limit < 2:
-        return []
+def _prime_flags(limit: int) -> bytearray:
+    """Entry n is 1 if n is prime, else 0, for n = 0..limit; limit >= 2."""
     flags = bytearray(b"\x01") * (limit + 1)
     flags[0] = flags[1] = 0
     for i in range(2, isqrt(limit) + 1):
         if flags[i]:
             flags[i * i :: i] = bytearray(len(range(i * i, limit + 1, i)))
-    return list(compress(range(limit + 1), flags))
+    return flags
+
+
+def prime_sieve(limit: int) -> list[int]:
+    """All primes <= limit, ascending."""
+    return list(compress(range(limit + 1), _prime_flags(limit))) if limit >= 2 else []
 
 
 def primes_one_mod_four(limit: int) -> list[int]:
-    """All primes p <= limit with p = 1 (mod 4), ascending."""
-    return [p for p in prime_sieve(limit) if p % 4 == 1]
+    """All primes p <= limit with p = 1 (mod 4), ascending: the flags of 1, 5, 9, ..."""
+    return list(compress(range(1, limit + 1, 4), _prime_flags(limit)[1::4])) if limit >= 2 else []
 
 
 def sqrt_minus_one(p: int) -> int:

@@ -155,7 +155,7 @@ def sympy_factorization(r):
 @lru_cache(maxsize=1)
 def shared_sieve():
     # one sieve for every example: near index 2 * 10^6 it needs every prime
-    # 1 (mod 4) up to about 2.8 * 10^6, and those are found once
+    # 1 (mod 4) up to about 2.8 * 10^6, and their roots are found once
     return characters._RankSieve()
 
 
@@ -225,7 +225,8 @@ def test_rank_sieve_marks_are_independent_of_block_boundaries():
 
 
 def test_rank_sieve_searches_roots_only_for_the_primes_it_sieves_with(monkeypatch):
-    # the table of primes doubles past the last block's bound; its roots do not
+    # each block lists the primes up to its own bound and finds the roots
+    # of only those its table lacks
     calls = []
     pinned_root = numtheory._pinned_root
 
@@ -246,6 +247,33 @@ def test_rank_primality_flags_to_a_million_are_pinned():
     assert sum(flags) == 104_893
     digest = "3beab196440ff2282f8a8de4c9f486aee438fe323e51c5ffc0fc9d209b0fd5ea"
     assert hashlib.sha256(flags).hexdigest() == digest
+
+
+def test_rank_primality_blocks_double_without_a_cap(monkeypatch):
+    # 64, 128, ..., 2^18 and the rest: a cap on the length would make a long
+    # scan walk its table of roots once per capped block, quadratic in all
+    spans = []
+
+    def block(self, lo, hi):
+        spans.append((lo, hi))
+        return bytearray(hi - lo)
+
+    monkeypatch.setattr(characters._RankSieve, "block", block)
+    assert sum(1 for _ in characters._rank_primality(10**6)) == 10**6
+    assert len(spans) == 14
+    assert [hi - lo for lo, hi in spans[:-1]] == [64 << i for i in range(13)]
+    assert spans[-1] == (64 * (2**13 - 1) + 1, 10**6 + 1)
+
+
+def test_build_certificate_past_the_first_long_blocks_is_pinned():
+    # count 10^5 keeps indices up to 949,165, far past index 32,705, where
+    # the first block longer than 2^14 indices begins; the digest was taken
+    # with blocks capped at 2^14 indices
+    cert = build_certificate(100_000, 3_000_000)
+    pairs = zip(cert.witnesses, cert.selected_primes)
+    text = "\n".join(f"{cw.witness.index} {p}" for cw, p in pairs)
+    digest = "aa1eefab9e0284e8dd7830e1da726743bac42d6620ac146604355c93e9ef25ec"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_rank_sieve_needs_no_factorize(monkeypatch):

@@ -150,6 +150,7 @@ def test_primes_one_mod_four_examples():
     assert primes_one_mod_four(30) == [5, 13, 17, 29]
     assert primes_one_mod_four(4) == []
     assert primes_one_mod_four(5) == [5]
+    assert primes_one_mod_four(-3) == primes_one_mod_four(0) == primes_one_mod_four(3) == []
 
 
 def test_primes_one_mod_four_matches_filtered_sieve_at_million():
