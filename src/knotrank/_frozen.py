@@ -1,7 +1,10 @@
 """The immutable value record behind every knotrank data class.
 
 A subclass names its fields in ``__slots__`` and sets them in its own
-``__init__`` with ``object.__setattr__``.  The base then gives it what a
+``__init__`` through its slots' setters, which ``slot_setters`` returns
+once, at import: each is the C-level ``__set__`` of a slot descriptor,
+so a write neither looks its name up through the class nor passes the
+base's refusing ``__setattr__``.  The base then gives it what a
 frozen dataclass has: equality between records of the same class with
 equal fields, a hash of the field tuple, a ``Name(field=value, ...)``
 repr, ``AttributeError`` on assignment and deletion, and pickling and
@@ -33,14 +36,25 @@ def json_int(value: object, what: str) -> int:
     return value
 
 
+def slot_setters(cls: type) -> list:
+    """The setters of the fields of ``cls``, in ``__slots__`` order.
+
+    Each is ``setter(record, value)``: the bound ``__set__`` of the slot
+    descriptor that ``cls`` holds for the field.  A module unpacks them
+    into names after its class, once.
+    """
+    return [cls.__dict__[name].__set__ for name in cls.__slots__]
+
+
 class Frozen:
     """Base class of the records; see the module docstring.
 
     >>> class Point(Frozen):
     ...     __slots__ = ("x", "y")
     ...     def __init__(self, x, y):
-    ...         object.__setattr__(self, "x", x)
-    ...         object.__setattr__(self, "y", y)
+    ...         _set_x(self, x)
+    ...         _set_y(self, y)
+    >>> _set_x, _set_y = slot_setters(Point)
     >>> Point(1, 2)
     Point(x=1, y=2)
     >>> Point(1, 2) == Point(1, 2), hash(Point(1, 2)) == hash((1, 2))

@@ -13,7 +13,7 @@ from itertools import compress, repeat
 from math import isqrt
 
 from . import numtheory, pretzel
-from ._frozen import Frozen, is_int, json_int
+from ._frozen import Frozen, is_int, json_int, slot_setters
 from .numtheory import NotPrime, PrimePower
 from .pretzel import WitnessKnot
 
@@ -84,10 +84,10 @@ class CertifiedWitness(Frozen):
             factors.append(pair if type(pair) is PrimePower else PrimePower(p, e))
         if type(max_prime) is not int:
             json_int(max_prime, "'max_prime'")
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "factorization", tuple(factors))
-        object.__setattr__(self, "max_prime", max_prime)
+        _set_witness(self, witness)
+        _set_rank(self, rank)
+        _set_factorization(self, tuple(factors))
+        _set_max_prime(self, max_prime)
 
     def to_json(self) -> dict:
         return {
@@ -104,6 +104,9 @@ class CertifiedWitness(Frozen):
             return cls(w, data["rank"], data["factorization"], data["max_prime"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed certified witness JSON: {exc}") from exc
+
+
+_set_witness, _set_rank, _set_factorization, _set_max_prime = slot_setters(CertifiedWitness)
 
 
 def certify(w: WitnessKnot, known_prime: int = 1) -> CertifiedWitness:
@@ -177,9 +180,9 @@ class IndependenceCertificate(Frozen):
             raise ValueError("certificate is empty")
         if view is None or len(primes) != k or len(view) != k:
             raise ValueError("witness, prime, and matrix dimensions disagree")
-        object.__setattr__(self, "witnesses", witnesses)
-        object.__setattr__(self, "selected_primes", primes)
-        object.__setattr__(self, "evaluation", view)
+        _set_witnesses(self, witnesses)
+        _set_selected_primes(self, primes)
+        _set_evaluation(self, view)
 
     def to_json(self) -> dict:
         return {
@@ -209,6 +212,9 @@ class IndependenceCertificate(Frozen):
         return "".join(_csv_lines(self))
 
 
+_set_witnesses, _set_selected_primes, _set_evaluation = slot_setters(IndependenceCertificate)
+
+
 class VerificationResult(Frozen):
     """Whether a certificate passed ``verify_certificate``, and if not, why."""
 
@@ -217,11 +223,14 @@ class VerificationResult(Frozen):
     reason: str | None
 
     def __init__(self, ok: bool, reason: str | None = None) -> None:
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "reason", reason)
+        _set_ok(self, ok)
+        _set_reason(self, reason)
 
     def __bool__(self) -> bool:
         return self.ok
+
+
+_set_ok, _set_reason = slot_setters(VerificationResult)
 
 
 def _prime_cells(witnesses, primes) -> list[list[tuple[int, int]]]:
@@ -268,7 +277,7 @@ class _EvaluationView(Frozen):
     rows: tuple[tuple[tuple[int, int], ...], ...]
 
     def __init__(self, rows) -> None:
-        object.__setattr__(self, "rows", tuple(map(tuple, rows)))
+        _set_rows(self, tuple(map(tuple, rows)))
 
     @classmethod
     def of(cls, matrix, k: int) -> "_EvaluationView | None":
@@ -312,6 +321,9 @@ class _EvaluationView(Frozen):
 
     def __repr__(self) -> str:
         return repr(tuple(self))
+
+
+(_set_rows,) = slot_setters(_EvaluationView)
 
 
 def _dense_row(k: int, cells) -> tuple:
@@ -420,19 +432,29 @@ class _RankSieve:
         return flags
 
 
-def _rank_primality(search_limit: int):
+def _rank_primality(search_limit: int, count: int | None = None):
     """Yield ``(n, 1 if the rank of n is prime else 0)`` for n = 1..search_limit.
 
     The blocks start at ``_FIRST_BLOCK`` indices and double without a cap:
     a caller that stops early has sieved few indices, and each block walks
     the table of roots once, so the cost is linear in the index range and
-    14 blocks reach index 10^6.
+    14 blocks reach index 10^6.  A caller that stops once it has kept
+    ``count`` indices, among them every index past 1 with a prime rank,
+    passes ``count``: a block then also ends where the prime ranks still
+    missing from ``count`` should lie, by the share of prime ranks among
+    the indices sieved so far, plus an eighth, and never less than
+    ``_FIRST_BLOCK`` indices on.  The flags do not depend on where a block
+    ends, so an estimate that falls short only adds a block.
     """
     sieve = _RankSieve()
-    lo, size = 1, _FIRST_BLOCK
+    lo, size, found = 1, _FIRST_BLOCK, 0
     while lo <= search_limit:
         hi = min(lo + size, search_limit + 1)
-        yield from zip(range(lo, hi), sieve.block(lo, hi))
+        if count is not None and found:
+            hi = min(hi, lo + _FIRST_BLOCK + max(count - found, 0) * lo * 9 // (8 * found))
+        flags = sieve.block(lo, hi)
+        found += flags.count(1)
+        yield from zip(range(lo, hi), flags)
         lo, size = hi, 2 * size
 
 
@@ -448,7 +470,8 @@ def build_certificate(count: int, search_limit: int) -> IndependenceCertificate:
     that rank, which is below r(n).  A composite rank's prime factors
     are all 1 (mod 4), so its largest is at most r // 5; unless that
     exceeds the last kept prime, the rank is skipped unfactored.  The
-    sieve stops with the block of the last witness.  The result is not
+    sieve stops with the block of the last witness, and its last block
+    ends near where that witness should lie.  The result is not
     verified here; pass it to ``verify_certificate``.  Every rank in the
     range must be below ``numtheory.PRIMALITY_BOUND``.
     """
@@ -463,7 +486,7 @@ def build_certificate(count: int, search_limit: int) -> IndependenceCertificate:
         )
     kept: list[CertifiedWitness] = []
     last = 1
-    for index, prime in _rank_primality(search_limit):
+    for index, prime in _rank_primality(search_limit, count):
         rank = 2 * index * (index - 1) + 1
         if prime:
             # the same PrimePower, without the Python-level __new__ of a namedtuple

@@ -9,7 +9,7 @@ one where nothing changes (``normalize`` of a normal polynomial).
 
 from __future__ import annotations
 
-from ._frozen import Frozen, json_int
+from ._frozen import Frozen, json_int, slot_setters
 
 # Sequence and Fraction in annotations are collections.abc's and fractions';
 # annotations are never evaluated, so neither module loads at start-up.
@@ -51,11 +51,11 @@ class LaurentPoly(Frozen):
         while lo < hi and coeffs[hi - 1] == 0:
             hi -= 1
         if lo == hi:
-            object.__setattr__(self, "lowest", 0)
-            object.__setattr__(self, "coeffs", ())
+            _set_lowest(self, 0)
+            _set_coeffs(self, ())
         else:
-            object.__setattr__(self, "lowest", lowest + lo)
-            object.__setattr__(self, "coeffs", tuple(coeffs[lo:hi]))
+            _set_lowest(self, lowest + lo)
+            _set_coeffs(self, tuple(coeffs[lo:hi]))
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -171,3 +171,6 @@ class LaurentPoly(Frozen):
             else:
                 parts.append(f"+ {body}" if c > 0 else f"- {body}")
         return " ".join(parts)
+
+
+_set_lowest, _set_coeffs = slot_setters(LaurentPoly)

@@ -7,7 +7,7 @@ trefoil connected sums.
 
 from __future__ import annotations
 
-from ._frozen import Frozen, json_int
+from ._frozen import Frozen, json_int, slot_setters
 from .laurent import LaurentPoly
 
 
@@ -28,9 +28,9 @@ class PretzelKnot(Frozen):
     n: int
 
     def __init__(self, l: int, m: int, n: int) -> None:
-        object.__setattr__(self, "l", l)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "n", n)
+        _set_l(self, l)
+        _set_m(self, m)
+        _set_n(self, n)
 
     @property
     def strands(self) -> tuple[int, int, int]:
@@ -43,6 +43,9 @@ class PretzelKnot(Frozen):
             if v % 2 == 0:
                 raise ValueError(f"strand value {v} is even; pretzel strands must be odd")
         return cls((a - 1) // 2, (b - 1) // 2, (c - 1) // 2)
+
+
+_set_l, _set_m, _set_n = slot_setters(PretzelKnot)
 
 
 def alexander_closed_form(knot: PretzelKnot) -> LaurentPoly:
@@ -68,8 +71,8 @@ class WitnessKnot(Frozen):
             raise ValueError(f"witness index must be >= 1, got {index}")
         if stab_count < 0:
             raise ValueError(f"stab_count must be >= 0, got {stab_count}")
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "stab_count", stab_count)
+        _set_index(self, index)
+        _set_stab_count(self, stab_count)
 
     @property
     def base(self) -> PretzelKnot:
@@ -102,6 +105,9 @@ class WitnessKnot(Frozen):
         except (KeyError, TypeError) as exc:
             raise ValueError("witness JSON needs an 'index' field") from exc
         return cls(json_int(index, "'index'"), json_int(stab, "'stab'"))
+
+
+_set_index, _set_stab_count = slot_setters(WitnessKnot)
 
 
 def witness(n: int) -> WitnessKnot:

@@ -31,19 +31,25 @@ from __future__ import annotations
 from math import isqrt
 from operator import mul
 
-from ._frozen import Frozen, is_int, json_int
+from ._frozen import Frozen, is_int, json_int, slot_setters
 from .laurent import LaurentPoly, NotUnitAtOne
 
 # Sequence in annotations is collections.abc's; annotations are never evaluated.
 
 
 class SeifertMatrix(Frozen):
-    """Square integer matrix of even size 2g attached to a genus-g surface."""
+    """Square integer matrix of even size 2g attached to a genus-g surface.
+
+    Any iterable of rows may be passed; it is stored, and checked, as the
+    tuple of its row tuples, so a matrix built from lists equals, and
+    hashes like, the one built from tuples.
+    """
 
     __slots__ = ("entries",)
     entries: tuple[tuple[int, ...], ...]
 
-    def __init__(self, entries: tuple[tuple[int, ...], ...]) -> None:
+    def __init__(self, entries: Sequence[Sequence[int]]) -> None:
+        entries = tuple(map(tuple, entries))
         n = len(entries)
         if n == 0 or n % 2 != 0:
             raise ValueError(f"Seifert matrix size must be even and >= 2, got {n}")
@@ -53,11 +59,11 @@ class SeifertMatrix(Frozen):
             # the type set passes a row of exact ints without a call per entry
             if not (set(map(type, row)) <= {int} or all(map(is_int, row))):
                 raise ValueError("Seifert matrix entries must be integers")
-        object.__setattr__(self, "entries", entries)
+        _set_entries(self, entries)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "SeifertMatrix":
-        return cls(tuple(tuple(row) for row in rows))
+        return cls(rows)
 
     @property
     def size(self) -> int:
@@ -84,6 +90,9 @@ class SeifertMatrix(Frozen):
         if size != matrix.size:
             raise ValueError(f"declared size {size} does not match {matrix.size} rows")
         return matrix
+
+
+(_set_entries,) = slot_setters(SeifertMatrix)
 
 
 def _eliminate(rows: Sequence[Sequence[int]]) -> tuple[int, int]:
@@ -145,7 +154,7 @@ def rank_int(rows: Sequence[Sequence[int]]) -> int:
 
 def pretzel_seifert_matrix(l: int, m: int, n: int) -> SeifertMatrix:
     """Seifert matrix of the genus-1 standard surface of P(2l+1, 2m+1, 2n+1)."""
-    return SeifertMatrix.from_rows([[l + m + 1, m + 1], [m, m + n + 1]])
+    return SeifertMatrix(((l + m + 1, m + 1), (m, m + n + 1)))
 
 
 def _coefficient_bound(e: Sequence[Sequence[int]]) -> int:

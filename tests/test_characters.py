@@ -265,6 +265,24 @@ def test_rank_primality_blocks_double_without_a_cap(monkeypatch):
     assert spans[-1] == (64 * (2**13 - 1) + 1, 10**6 + 1)
 
 
+def test_build_certificate_ends_its_last_block_near_its_last_witness(monkeypatch):
+    # count 10^5 keeps indices up to 949,165; by doubling alone the last
+    # block would run to 1,048,513, but the blocks so far tell how many
+    # indices the missing prime ranks need
+    spans = []
+    block = characters._RankSieve.block
+
+    def recorded(self, lo, hi):
+        spans.append((lo, hi))
+        return block(self, lo, hi)
+
+    monkeypatch.setattr(characters._RankSieve, "block", recorded)
+    cert = build_certificate(100_000, 3_000_000)
+    assert cert.witnesses[-1].witness.index == 949_165
+    assert 949_165 < spans[-1][1] < 1_048_513
+    assert [lo for lo, _ in spans[1:]] == [hi for _, hi in spans[:-1]]
+
+
 def test_build_certificate_past_the_first_long_blocks_is_pinned():
     # count 10^5 keeps indices up to 949,165, far past index 32,705, where
     # the first block longer than 2^14 indices begins; the digest was taken
@@ -381,7 +399,7 @@ def test_build_certificate_factors_a_composite_above_five_times_the_last_prime(
     monkeypatch.setattr(
         characters,
         "_rank_primality",
-        lambda limit: itertools.islice(rank_primality(limit), start - 1, None),
+        lambda limit, *rest: itertools.islice(rank_primality(limit, *rest), start - 1, None),
     )
     assert_matches_greedy_oracle(30, ORACLE_LIMIT, start)
     factored = []

@@ -207,6 +207,15 @@ def test_records_never_rewrite_their_classes():
     assert json.loads(proc.stdout) == {"classes": 8, "changed": []}
 
 
+def test_records_set_their_fields_only_through_their_slot_setters():
+    # one way to set a field: each module binds its records' slot setters
+    # once (_frozen.slot_setters), and no module goes through object.__setattr__
+    modules = sorted((SRC / "knotrank").glob("*.py"))
+    assert len(modules) >= 8
+    found = [m.name for m in modules if "object.__setattr__" in m.read_text()]
+    assert found == []
+
+
 def test_keyword_construction():
     assert PretzelKnot(l=1, m=2, n=3) == PretzelKnot(1, 2, 3)
     assert LaurentPoly(lowest=2, coeffs=(0, 3)) == LaurentPoly(3, (3,))
@@ -225,6 +234,19 @@ def test_defaults():
     assert WitnessKnot(4).stab_count == 0
     assert VerificationResult(True).reason is None
     assert LaurentPoly() == LaurentPoly(0, ())
+
+
+def test_seifert_matrix_built_from_lists_is_the_record_of_its_tuples():
+    rows = [[1, 0], [1, 1]]
+    m = SeifertMatrix(rows)
+    assert m == SeifertMatrix(((1, 0), (1, 1))) == SeifertMatrix.from_rows(rows)
+    assert hash(m) == hash(SeifertMatrix(((1, 0), (1, 1))))
+    assert type(m.entries) is tuple and set(map(type, m.entries)) == {tuple}
+    rows[0][0] = 7  # the caller's lists are not the record's
+    assert m.entries == ((1, 0), (1, 1))
+    with pytest.raises(TypeError):
+        m.entries[0][0] = 7
+    assert SeifertMatrix(iter([iter([0, 1]), (0, 0)])).genus == 1
 
 
 def test_laurent_construction_is_canonical_after_a_round_trip():
